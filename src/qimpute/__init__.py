@@ -65,6 +65,7 @@ from .quantum import (
     apply_hadamard_layer,
     circuit_state,
     iqp_embed,
+    iqp_expectations,
     oracle_apply,
     z_expectations,
 )

@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolation, FitError, QimputeError
-from .quantum import IqpParams, iqp_embed
+from .errors import ConfigError, ContractViolation, FitError, QimputeError
+from .quantum import IqpParams, iqp_expectations
 from .rng import EMBED, PROJECTION, substream
 from .tabular import CellValue, ColumnKind, DatasetSchema, Mask, Table, missing_mask
 
@@ -131,6 +131,11 @@ def load_text_embeddings(path) -> TextEmbeddings:
         for record in reader:
             row_id = int(record[0])
             vec = np.array([float(x) for x in record[2:]], dtype=np.float64)
+            if not np.all(np.isfinite(vec)):
+                raise QimputeError(
+                    f"{path}: non-finite text embedding for row {row_id}, "
+                    f"column {record[1]!r}"
+                )
             vectors[(row_id, record[1])] = vec
     return TextEmbeddings(dim=dim, vectors=vectors)
 
@@ -334,6 +339,19 @@ def project_to_angles(
     return IqpParams.replicated(projected, pairs, n_layers)
 
 
+def _project(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """(B, d_in) @ (d_in, d_out), accumulated one input feature at a time.
+
+    A BLAS matmul sums in an order that depends on the batch size (gemv for
+    one row, gemm for several), which would make a cell's embedding depend
+    on the batch it was computed in; a fixed order keeps rows independent.
+    """
+    out = x[:, :1] * matrix[0]
+    for i in range(1, matrix.shape[0]):
+        out += x[:, i : i + 1] * matrix[i]
+    return out
+
+
 @dataclass(frozen=True)
 class CellEmbedding:
     vector: np.ndarray
@@ -345,7 +363,10 @@ class CellEmbedder:
 
     For the fixed variants (quantum, random projection) embeddings are
     deterministic functions of (schema, stats, seed, value) and are
-    memoized per (column, value). The trainable MLP variant has no fixed
+    memoized per (column, value). They are computed one batch per column,
+    and a cell's embedding does not depend on the batch it is computed in,
+    so :meth:`embed` and :meth:`embed_table` agree bitwise whatever the
+    order of calls. The trainable MLP variant has no fixed
     embedding; callers fetch padded classical vectors instead and the
     perceptron weights live in the model.
     """
@@ -360,6 +381,10 @@ class CellEmbedder:
         n_layers: int = 2,
         text_embeddings: TextEmbeddings | None = None,
     ):
+        if n_qubits < 1:
+            raise ConfigError(f"n_qubits must be >= 1, got {n_qubits}")
+        if n_layers < 1:
+            raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
         self.schema = schema
         self.stats = stats
         self.variant = variant
@@ -395,28 +420,7 @@ class CellEmbedder:
 
     def embed(self, row: int, col: int, value: CellValue) -> np.ndarray:
         """Fixed-variant embedding of one observed cell."""
-        if self.variant == EmbedderVariant.CLASSICAL_MLP:
-            raise ContractViolation(
-                "the classical-MLP variant has no fixed embedding; its weights "
-                "live in the model and are applied during the forward pass"
-            )
-        has_override = (
-            self.schema.columns[col].kind == ColumnKind.TEXT
-            and self.text_embeddings is not None
-            and self.text_embeddings.lookup(row, self.schema.columns[col].name) is not None
-        )
-        key = (col, value)
-        if not has_override and key in self._cache:
-            return self._cache[key]
-        x_c = self.classical_vector(row, col, value)
-        if self.variant == EmbedderVariant.QUANTUM_IQP:
-            params = project_to_angles(x_c, self._angle_proj[col], self.n_layers)
-            vector = iqp_embed(params).values
-        else:
-            vector = x_c @ self._rand_proj[col]
-        if not has_override:
-            self._cache[key] = vector
-        return vector
+        return self._embed_column(col, [row], [value])[0]
 
     def embed_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
         """(rows, columns, embed_dim) embeddings; zeros at missing/masked cells."""
@@ -424,11 +428,56 @@ class CellEmbedder:
         if mask is not None:
             observed &= ~mask.matrix
         out = np.zeros((table.n_rows, self.schema.n_columns, self.embed_dim))
-        for r, row in enumerate(table.rows):
-            for c, value in enumerate(row):
-                if observed[r, c]:
-                    out[r, c] = self.embed(r, c, value)
+        for c in range(self.schema.n_columns):
+            rows = np.flatnonzero(observed[:, c]).tolist()
+            if rows:
+                out[rows, c] = self._embed_column(c, rows, [table.rows[r][c] for r in rows])
         return out
+
+    def _embed_column(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
+        """(len(rows), embed_dim) embeddings of observed cells of one column.
+
+        The column's distinct uncached values, plus every cell with a
+        precomputed text override (those are never cached), are encoded and
+        embedded as one batch; all other cells are read from the memo.
+        """
+        if self.variant == EmbedderVariant.CLASSICAL_MLP:
+            raise ContractViolation(
+                "the classical-MLP variant has no fixed embedding; its weights "
+                "live in the model and are applied during the forward pass"
+            )
+        spec = self.schema.columns[col]
+        overrides = self.text_embeddings if spec.kind == ColumnKind.TEXT else None
+        batch: list[tuple[int, CellValue]] = []
+        fresh: dict[CellValue, int] = {}  # uncached value -> batch slot
+        override_slot: dict[int, int] = {}  # cell position -> batch slot
+        for i, (r, v) in enumerate(zip(rows, values)):
+            if overrides is not None and overrides.lookup(r, spec.name) is not None:
+                override_slot[i] = len(batch)
+                batch.append((r, v))
+            elif (col, v) not in self._cache and v not in fresh:
+                fresh[v] = len(batch)
+                batch.append((r, v))
+        if batch:
+            x = np.stack([self.classical_vector(r, col, v) for r, v in batch])
+            if self.variant == EmbedderVariant.QUANTUM_IQP:
+                # project_to_angles replicates one angle set over the layers,
+                # so the layer-summed angles are n_layers times that set.
+                angles = _project(x, self._angle_proj[col].matrix)
+                js, ks = np.triu_indices(self.n_qubits, k=1)
+                vectors = iqp_expectations(
+                    self.n_layers * angles, self.n_layers * (angles[:, js] * angles[:, ks])
+                )
+            else:
+                vectors = _project(x, self._rand_proj[col])
+            for v, slot in fresh.items():
+                self._cache[(col, v)] = vectors[slot]
+        return np.stack(
+            [
+                vectors[override_slot[i]] if i in override_slot else self._cache[(col, v)]
+                for i, v in enumerate(values)
+            ]
+        )
 
     def classical_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
         """(rows, columns, d_in_max) zero-padded classical vectors for the MLP variant."""

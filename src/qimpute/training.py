@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class TrainConfig:
     categorical_loss_weight: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if self.batch_size < 1:

@@ -17,8 +17,9 @@ from qimpute.encoding import (
     project_to_angles,
     text_embed_hashing,
 )
-from qimpute.errors import ContractViolation, FitError
-from qimpute.tabular import ColumnKind, ColumnSpec, DatasetSchema, Table
+from qimpute.errors import ConfigError, ContractViolation, FitError, QimputeError
+from qimpute.quantum import oracle_apply, z_expectations
+from qimpute.tabular import ColumnKind, ColumnSpec, DatasetSchema, Mask, Table
 
 SCHEMA = DatasetSchema(
     (
@@ -295,6 +296,72 @@ def test_embed_table_zeroes_missing_cells():
     assert np.all(out[3, 1] == 0.0)  # missing categorical cell
 
 
+def make_unseen_table():
+    """Same schema as make_table, with categories the fit never saw."""
+    return Table(
+        SCHEMA,
+        [
+            [2.0, "zzz", "chest pain"],
+            [3.5, "b", "new words entirely"],
+            [None, "zzz", "all clear today"],
+            [6.0, "yyy", None],
+            [3.5, "a", "chest pain"],
+        ],
+    )
+
+
+def test_embed_table_matches_per_cell_oracle():
+    _, emb = make_embedder(EmbedderVariant.QUANTUM_IQP)
+    table = make_unseen_table()
+    held = np.zeros((5, 3), dtype=bool)
+    held[1, 0] = held[4, 2] = True
+    out = emb.embed_table(table, Mask(held))
+    for r, row in enumerate(table.rows):
+        for c, value in enumerate(row):
+            if value is None or held[r, c]:
+                assert np.all(out[r, c] == 0.0)
+                continue
+            x_c = emb.classical_vector(r, c, value)
+            proj = make_angle_projection(3, x_c.size, emb.n_qubits, c)
+            state = oracle_apply(project_to_angles(x_c, proj, emb.n_layers))
+            reference = z_expectations(state).values
+            assert np.max(np.abs(out[r, c] - reference)) < 1e-12
+
+
+def test_embed_table_counts_each_unseen_category_once():
+    # One count per distinct (column, value) encoded: "zzz" and "yyy", with
+    # the repeated "zzz" and a second call served from the memo.
+    _, emb = make_embedder(EmbedderVariant.QUANTUM_IQP)
+    table = make_unseen_table()
+    emb.embed_table(table)
+    emb.embed_table(table)
+    assert emb.stats.for_column("grade").unknown_seen == 2
+
+
+@pytest.mark.parametrize(
+    "variant", [EmbedderVariant.QUANTUM_IQP, EmbedderVariant.RANDOM_PROJECTION]
+)
+def test_embed_bitwise_equals_embed_table(variant):
+    table = make_unseen_table()
+    _, whole = make_embedder(variant)
+    out = whole.embed_table(table)
+    _, single = make_embedder(variant)
+    for r, row in enumerate(table.rows):
+        for c, value in enumerate(row):
+            if value is not None:
+                assert np.array_equal(single.embed(r, c, value), out[r, c])
+
+
+@pytest.mark.parametrize("n_qubits,n_layers", [(0, 2), (4, 0)])
+def test_embedder_rejects_empty_circuit(n_qubits, n_layers):
+    stats = fit_preprocessor(make_table(), SCHEMA)
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        CellEmbedder(
+            SCHEMA, stats, EmbedderVariant.QUANTUM_IQP, seed=3,
+            n_qubits=n_qubits, n_layers=n_layers,
+        )
+
+
 def test_classical_table_padding():
     table, emb = make_embedder(EmbedderVariant.CLASSICAL_MLP)
     out = emb.classical_table(table)
@@ -352,4 +419,16 @@ def test_load_text_embeddings_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("row,col,e_0\n0,note,1.0\n")
     with pytest.raises(Exception, match="header"):
+        load_text_embeddings(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_text_embeddings_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "emb.csv"
+    path.write_text(
+        "row_id,column_name,e_0,e_1\n"
+        "0,note,0.5,0.25\n"
+        f"7,note,{bad},1.0\n"
+    )
+    with pytest.raises(QimputeError, match="row 7, column 'note'"):
         load_text_embeddings(path)

@@ -15,6 +15,7 @@ from qimpute.quantum import (
     apply_hadamard_layer,
     circuit_state,
     iqp_embed,
+    iqp_expectations,
     n_pair_angles,
     oracle_apply,
     z_expectations,
@@ -273,5 +274,29 @@ def test_fast_simulator_matches_oracle(n, n_layers):
     for _ in range(10):
         params = random_params(n, n_layers, rng)
         fast = circuit_state(params).amplitudes
-        dense = oracle_apply(params).amplitudes
-        assert np.max(np.abs(fast - dense)) < 1e-10
+        dense_state = oracle_apply(params)
+        assert np.max(np.abs(fast - dense_state.amplitudes)) < 1e-10
+        closed = iqp_embed(params).values
+        assert np.max(np.abs(closed - z_expectations(dense_state).values)) < 1e-12
+
+
+def test_iqp_expectations_rows_independent_of_batch():
+    rng = np.random.default_rng(61)
+    n, batch = 6, 9
+    singles = rng.uniform(-np.pi, np.pi, size=(batch, n))
+    pairs = rng.uniform(-np.pi, np.pi, size=(batch, n_pair_angles(n)))
+    together = iqp_expectations(singles, pairs)
+    assert together.shape == (batch, n)
+    for b in range(batch):
+        alone = iqp_expectations(singles[b : b + 1], pairs[b : b + 1])[0]
+        assert np.array_equal(alone, together[b])
+        one_layer = IqpParams(n, 1, singles[b : b + 1], pairs[b : b + 1])
+        oracle = z_expectations(oracle_apply(one_layer)).values
+        assert np.max(np.abs(together[b] - oracle)) < 1e-12
+
+
+def test_iqp_expectations_rejects_mismatched_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        iqp_expectations(np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="singles"):
+        iqp_expectations(np.zeros(3), np.zeros(3))

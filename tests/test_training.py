@@ -194,6 +194,17 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["learning_rate", "mask_rate", "beta1", "beta2", "epsilon",
+     "numeric_loss_weight", "categorical_loss_weight"],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # imputation
 # ---------------------------------------------------------------------------
