@@ -12,7 +12,7 @@ from qimpute import (
     DatasetSchema,
     EmbedderVariant,
     Table,
-    encode_cell,
+    encode_column,
     fit_preprocessor,
     text_embed_hashing,
 )
@@ -42,12 +42,13 @@ hr = stats.for_column("heart_rate")
 print(f"heart_rate range: [{hr.vmin}, {hr.vmax}]")
 print("ward vocabulary:", stats.for_column("ward").vocabulary)
 
-# Numeric cells map affinely onto [0, pi]; categoricals become pi-scaled
-# one-hots; text goes through deterministic hashed bag-of-words.
+# Cells are encoded one column at a time. Numeric cells map affinely onto
+# [0, pi]; categoricals become pi-scaled one-hots; text goes through
+# deterministic hashed bag-of-words.
 print("\nclassical feature vectors:")
-print("  62 bpm ->", encode_cell(62.0, ColumnKind.NUMERIC, hr).values)
-print("  119 bpm ->", encode_cell(119.0, ColumnKind.NUMERIC, hr).values)
-print("  'icu'  ->", encode_cell("icu", ColumnKind.CATEGORICAL, stats.for_column("ward")).values)
+print("  62, 119 bpm ->", encode_column([62.0, 119.0], ColumnKind.NUMERIC, hr).ravel())
+ward = stats.for_column("ward")
+print("  'icu'  ->", encode_column(["icu"], ColumnKind.CATEGORICAL, ward)[0])
 print("  hashing('resting comfortably', dim=8) ->",
       np.round(text_embed_hashing("resting comfortably", 8), 3))
 

@@ -17,12 +17,10 @@ from .datasets import SyntheticDataset, make_toy_table, synth_healthcare_generat
 from .encoding import (
     AngleProjection,
     CellEmbedder,
-    CellEmbedding,
     EmbedderVariant,
     PreprocessStats,
     TextEmbeddings,
-    embed_cell,
-    encode_cell,
+    encode_column,
     fit_preprocessor,
     load_text_embeddings,
     make_angle_projection,

@@ -1,10 +1,12 @@
 """Mixed-type cell encoding and the interchangeable cell-embedding variants.
 
-Observed cells are first turned into classical feature vectors: numerics
-become a single angle in [0, pi] via a fitted min-max map, categoricals a
-pi-scaled one-hot, and text a deterministic hashed bag-of-words vector
-rescaled per dimension to [0, pi]. From there one of three variants
-produces the per-cell embedding:
+Observed cells are first turned into classical feature vectors, one
+column at a time, by :func:`encode_column`: numerics become a single angle
+in [0, pi] via a fitted min-max map, categoricals a pi-scaled one-hot, and
+text a deterministic hashed bag-of-words vector (or a precomputed one)
+rescaled per dimension to [0, pi]. ``CellEmbedder.classical_vector`` is its
+one-row form. From there one of three variants produces the per-cell
+embedding:
 
 * ``QUANTUM_IQP``: a fixed seeded linear projection maps the classical
   vector to circuit angles; the embedding is the circuit's vector of
@@ -129,11 +131,19 @@ def load_text_embeddings(path) -> TextEmbeddings:
             raise QimputeError(f"{path}: embedding columns must be e_0..e_{dim - 1}")
         vectors: dict[tuple[int, str], np.ndarray] = {}
         for record in reader:
-            row_id = int(record[0])
-            vec = np.array([float(x) for x in record[2:]], dtype=np.float64)
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(header):
+                raise QimputeError(
+                    f"{where}: expected {len(header)} fields, got {len(record)}"
+                )
+            try:
+                row_id = int(record[0])
+                vec = np.array([float(x) for x in record[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise QimputeError(f"{where}: {exc}") from None
             if not np.all(np.isfinite(vec)):
                 raise QimputeError(
-                    f"{path}: non-finite text embedding for row {row_id}, "
+                    f"{where}: non-finite text embedding for row {row_id}, "
                     f"column {record[1]!r}"
                 )
             vectors[(row_id, record[1])] = vec
@@ -236,53 +246,57 @@ def _raw_text_vector(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalFeatureVector:
-    values: np.ndarray
-    column: str
-
-
-def encode_cell(
-    value: CellValue,
+def encode_column(
+    values: list[CellValue],
     kind: ColumnKind,
     stats: ColumnStats,
     column: str = "",
-    raw_text: np.ndarray | None = None,
-) -> ClassicalFeatureVector:
-    """Observed cell -> classical feature vector with entries in [0, pi].
+    raw_text: list[np.ndarray | None] | None = None,
+) -> np.ndarray:
+    """Observed cells of one column -> (len(values), width) features in [0, pi].
 
-    ``raw_text`` lets callers substitute a precomputed text vector for the
-    hashing default. Encoding a missing value is a contract violation, not
-    a silent zero.
+    ``raw_text`` holds, per cell, a precomputed text vector that replaces
+    the hashing default, or None. Encoding a missing value is a contract
+    violation, not a silent zero. Each unknown category encoded counts once
+    in ``stats.unknown_seen`` and maps to the all-zeros vector.
     """
-    if value is None:
+    if any(v is None for v in values):
         raise ContractViolation(f"attempted to encode a missing cell in column {column!r}")
     if kind == ColumnKind.NUMERIC:
         assert isinstance(stats, NumericColumnStats)
         if stats.degenerate:
-            angle = 0.0
-        else:
-            angle = np.pi * (float(value) - stats.vmin) / (stats.vmax - stats.vmin)
-            angle = float(np.clip(angle, 0.0, np.pi))
-        return ClassicalFeatureVector(np.array([angle]), column)
+            return np.zeros((len(values), 1))
+        x = np.array([float(v) for v in values], dtype=np.float64)
+        angles = np.pi * (x - stats.vmin) / (stats.vmax - stats.vmin)
+        return np.clip(angles, 0.0, np.pi)[:, None]
     if kind == ColumnKind.CATEGORICAL:
         assert isinstance(stats, CategoricalColumnStats)
-        out = np.zeros(len(stats.vocabulary))
-        idx = stats.index_of(str(value))
-        if idx is None:
-            stats.unknown_seen += 1
-            logger.warning(
-                "unknown category %r in column %r mapped to all-zeros", value, column
-            )
-        else:
-            out[idx] = np.pi
-        return ClassicalFeatureVector(out, column)
+        index = {category: i for i, category in enumerate(stats.vocabulary)}
+        out = np.zeros((len(values), len(stats.vocabulary)))
+        for i, value in enumerate(values):
+            idx = index.get(str(value))
+            if idx is None:
+                stats.unknown_seen += 1
+                logger.warning(
+                    "unknown category %r in column %r mapped to all-zeros", value, column
+                )
+            else:
+                out[i, idx] = np.pi
+        return out
     assert isinstance(stats, TextColumnStats)
-    raw = raw_text if raw_text is not None else text_embed_hashing(str(value), stats.dim)
+    if not values:
+        return np.zeros((0, stats.dim))
+    overrides = raw_text if raw_text is not None else [None] * len(values)
+    raw = np.stack(
+        [
+            text_embed_hashing(str(v), stats.dim) if t is None else t
+            for v, t in zip(values, overrides)
+        ]
+    )
     span = stats.dim_max - stats.dim_min
     with np.errstate(invalid="ignore", divide="ignore"):
         scaled = np.where(span > 0.0, (raw - stats.dim_min) / np.where(span > 0, span, 1.0), 0.0)
-    return ClassicalFeatureVector(np.clip(scaled, 0.0, 1.0) * np.pi, column)
+    return np.clip(scaled, 0.0, 1.0) * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +332,12 @@ def make_angle_projection(seed: int, d_in: int, d_out: int, *keys: int) -> Angle
     return AngleProjection(matrix=matrix, seed=seed)
 
 
-def project_to_angles(
-    x_c: ClassicalFeatureVector | np.ndarray,
-    proj: AngleProjection,
-    n_layers: int,
-) -> IqpParams:
+def project_to_angles(x_c: np.ndarray, proj: AngleProjection, n_layers: int) -> IqpParams:
     """x -> angles: singles are the projected vector, pairs its outer products.
 
     The same angle set is replicated across all layers.
     """
-    values = x_c.values if isinstance(x_c, ClassicalFeatureVector) else np.asarray(x_c)
+    values = np.asarray(x_c)
     if values.shape != (proj.d_in,):
         raise ValueError(
             f"feature vector has shape {values.shape}, projection expects ({proj.d_in},)"
@@ -350,12 +360,6 @@ def _project(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     for i in range(1, matrix.shape[0]):
         out += x[:, i : i + 1] * matrix[i]
     return out
-
-
-@dataclass(frozen=True)
-class CellEmbedding:
-    vector: np.ndarray
-    variant: EmbedderVariant
 
 
 class CellEmbedder:
@@ -410,13 +414,18 @@ class CellEmbedder:
         return self._widths[col]
 
     def classical_vector(self, row: int, col: int, value: CellValue) -> np.ndarray:
+        """Classical features of one observed cell (one-row :func:`encode_column`)."""
+        return self._encode(col, [row], [value])[0]
+
+    def _encode(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
+        """(len(rows), width) classical features of observed cells of one column."""
         spec = self.schema.columns[col]
         raw_text = None
         if spec.kind == ColumnKind.TEXT and self.text_embeddings is not None:
-            raw_text = self.text_embeddings.lookup(row, spec.name)
-        return encode_cell(
-            value, spec.kind, self.stats.for_column(spec.name), spec.name, raw_text
-        ).values
+            raw_text = [self.text_embeddings.lookup(r, spec.name) for r in rows]
+        return encode_column(
+            values, spec.kind, self.stats.for_column(spec.name), spec.name, raw_text
+        )
 
     def embed(self, row: int, col: int, value: CellValue) -> np.ndarray:
         """Fixed-variant embedding of one observed cell."""
@@ -459,7 +468,7 @@ class CellEmbedder:
                 fresh[v] = len(batch)
                 batch.append((r, v))
         if batch:
-            x = np.stack([self.classical_vector(r, col, v) for r, v in batch])
+            x = self._encode(col, [r for r, _ in batch], [v for _, v in batch])
             if self.variant == EmbedderVariant.QUANTUM_IQP:
                 # project_to_angles replicates one angle set over the layers,
                 # so the layer-summed angles are n_layers times that set.
@@ -485,33 +494,9 @@ class CellEmbedder:
         if mask is not None:
             observed &= ~mask.matrix
         out = np.zeros((table.n_rows, self.schema.n_columns, self.d_in_max))
-        for r, row in enumerate(table.rows):
-            for c, value in enumerate(row):
-                if observed[r, c]:
-                    vec = self.classical_vector(r, c, value)
-                    out[r, c, : vec.size] = vec
+        for c in range(self.schema.n_columns):
+            rows = np.flatnonzero(observed[:, c]).tolist()
+            out[rows, c, : self._widths[c]] = self._encode(
+                c, rows, [table.rows[r][c] for r in rows]
+            )
         return out
-
-
-def embed_cell(
-    value: CellValue,
-    row: int,
-    col: int,
-    embedder: CellEmbedder,
-    mlp_weights: dict[str, np.ndarray] | None = None,
-) -> CellEmbedding:
-    """One observed cell -> CellEmbedding under the embedder's variant.
-
-    The classical-MLP variant needs its (trained) perceptron weights, keyed
-    ``mlp.w1``, ``mlp.b1``, ``mlp.w2``, ``mlp.b2``.
-    """
-    if embedder.variant == EmbedderVariant.CLASSICAL_MLP:
-        if mlp_weights is None:
-            raise ContractViolation("classical-MLP embedding requires mlp weights")
-        x = np.zeros(embedder.d_in_max)
-        vec = embedder.classical_vector(row, col, value)
-        x[: vec.size] = vec
-        hidden = np.tanh(x @ mlp_weights["mlp.w1"] + mlp_weights["mlp.b1"])
-        vector = hidden @ mlp_weights["mlp.w2"] + mlp_weights["mlp.b2"]
-        return CellEmbedding(vector, embedder.variant)
-    return CellEmbedding(embedder.embed(row, col, value), embedder.variant)

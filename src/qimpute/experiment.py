@@ -31,7 +31,7 @@ from .datasets import synth_healthcare_generate
 from .encoding import CellEmbedder, EmbedderVariant, PreprocessStats, fit_preprocessor
 from .errors import ConfigError, QimputeError
 from .metrics import macro_f1_categorical, rmse_numeric, rmse_raw_per_column
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, mlp_embed
 from .tabular import (
     DatasetSchema,
     Mask,
@@ -396,9 +396,7 @@ def export_embeddings(
             raise ConfigError(
                 "classical_mlp export needs trained model params holding mlp weights"
             )
-        xc = embedder.classical_table(table)
-        pre = np.tanh(xc @ params.tensors["mlp.w1"] + params.tensors["mlp.b1"])
-        emb = pre @ params.tensors["mlp.w2"] + params.tensors["mlp.b2"]
+        emb, _ = mlp_embed(params.tensors, embedder.classical_table(table))
     else:
         emb = embedder.embed_table(table)
     observed = ~missing_mask(table).matrix

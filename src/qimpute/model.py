@@ -194,9 +194,7 @@ class LossBreakdown:
 class _Cache:
     """Forward intermediates needed by the analytic backward pass."""
 
-    __slots__ = (
-        "emb", "mlp_pre", "mlp_act", "x0", "blocks", "hidden", "proj_grad_gate"
-    )
+    __slots__ = ("emb", "mlp_act", "blocks", "proj_grad_gate")
 
     def __init__(self):
         self.blocks = []
@@ -230,6 +228,18 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def mlp_embed(
+    tensors: dict[str, np.ndarray], xc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trainable MLP embedder: (embeddings, tanh activations) of classical vectors.
+
+    ``xc`` is (..., mlp_d_in); the embeddings are (..., embed_dim) and the
+    activations (..., mlp_hidden), which the backward pass reuses.
+    """
+    act = np.tanh(xc @ tensors["mlp.w1"] + tensors["mlp.b1"])
+    return act @ tensors["mlp.w2"] + tensors["mlp.b2"], act
+
+
 def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
     """Run the token pipeline; returns final hidden states (B, C, d_model)."""
     cfg = params.config
@@ -250,10 +260,7 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
                 f"batch.xc feature width {batch.xc.shape[2]} != model mlp_d_in "
                 f"{params.mlp_d_in}"
             )
-        pre = batch.xc @ t["mlp.w1"] + t["mlp.b1"]
-        act = np.tanh(pre)
-        emb = act @ t["mlp.w2"] + t["mlp.b2"]
-        cache.mlp_pre, cache.mlp_act = pre, act
+        emb, cache.mlp_act = mlp_embed(t, batch.xc)
     else:
         if batch.emb is None:
             raise ContractViolation("fixed-embedding model needs batch.emb")
@@ -269,7 +276,6 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
     cache.proj_grad_gate = gate
     projected = (emb * gate) @ t["in_proj.w"]
     x = np.where(masked[..., None], t["mask_emb"], projected) + t["col_emb"][None, :, :]
-    cache.x0 = x
 
     n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / np.sqrt(d_head)
@@ -301,7 +307,6 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
                 f_pre=f_pre, f_act=f_act,
             )
         )
-    cache.hidden = x
     return x, cache
 
 

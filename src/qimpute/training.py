@@ -433,15 +433,24 @@ def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> Check
         ColumnHead(name, ColumnKind(kind), tuple(vocab) if vocab else None)
         for name, kind, vocab in meta["columns"]
     )
+    config = ModelConfig(**meta["model_config"])
+    stats = _stats_from_json(meta["stats"])
+    expected = init_params(schema, stats, config, seed=0, mlp_d_in=meta["mlp_d_in"]).tensors
+    for name, reference in expected.items():
+        if name not in tensors or tensors[name].shape != reference.shape:
+            found = tensors[name].shape if name in tensors else "missing"
+            raise CheckpointError(
+                f"{path}: tensor {name!r} is {found}, expected shape {reference.shape}"
+            )
+    extra = [name for name in tensors if name not in expected]
+    if extra:
+        raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r}")
     params = ModelParams(
-        config=ModelConfig(**meta["model_config"]),
-        columns=columns,
-        tensors=tensors,
-        mlp_d_in=meta["mlp_d_in"],
+        config=config, columns=columns, tensors=tensors, mlp_d_in=meta["mlp_d_in"]
     )
     return CheckpointBundle(
         params=params,
-        stats=_stats_from_json(meta["stats"]),
+        stats=stats,
         schema=schema,
         variant=EmbedderVariant(meta["embedder"]["variant"]),
         embed_seed=meta["embedder"]["seed"],

@@ -134,6 +134,31 @@ def test_train_impute_round_trip(tmp_path):
         assert line.split(",")[bp] != ""
 
 
+def test_impute_tampered_checkpoint_single_line_error(tmp_path, capsys):
+    data = tmp_path / "d"
+    main(["datagen", "--rows", "20", "--seed", "3", "--out", str(data)])
+    model_dir = tmp_path / "model"
+    main([
+        "train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+        "--seed", "3", "--out", str(model_dir), "--epochs", "1", "--d-model", "8",
+        "--n-blocks", "1", "--n-heads", "2", "--d-ff", "16", "--n-qubits", "4",
+    ])
+    path = model_dir / "model.npz"
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["tensor/in_proj.w"] = np.zeros((3, 8))
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    code = main([
+        "impute", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+        "--model", str(path), "--out", str(tmp_path / "imp"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qimpute: error:") and "'in_proj.w'" in err
+    assert len(err.strip().split("\n")) == 1
+
+
 def test_train_checkpoint_byte_identical(tmp_path):
     data = tmp_path / "d"
     main(["datagen", "--rows", "25", "--seed", "4", "--out", str(data)])

@@ -9,8 +9,7 @@ from qimpute.encoding import (
     EmbedderVariant,
     NumericColumnStats,
     TextEmbeddings,
-    embed_cell,
-    encode_cell,
+    encode_column,
     fit_preprocessor,
     load_text_embeddings,
     make_angle_projection,
@@ -82,37 +81,37 @@ def test_fit_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# encode_cell
+# encode_column
 # ---------------------------------------------------------------------------
 
 
 def test_numeric_endpoints_and_midpoint():
     stats = NumericColumnStats(vmin=2.0, vmax=6.0)
-    assert encode_cell(2.0, ColumnKind.NUMERIC, stats).values[0] == 0.0
-    assert encode_cell(6.0, ColumnKind.NUMERIC, stats).values[0] == np.pi
-    assert encode_cell(4.0, ColumnKind.NUMERIC, stats).values[0] == pytest.approx(np.pi / 2)
+    assert encode_column([2.0], ColumnKind.NUMERIC, stats)[0, 0] == 0.0
+    assert encode_column([6.0], ColumnKind.NUMERIC, stats)[0, 0] == np.pi
+    assert encode_column([4.0], ColumnKind.NUMERIC, stats)[0, 0] == pytest.approx(np.pi / 2)
 
 
 def test_numeric_out_of_range_clamped():
     stats = NumericColumnStats(vmin=0.0, vmax=1.0)
-    assert encode_cell(-5.0, ColumnKind.NUMERIC, stats).values[0] == 0.0
-    assert encode_cell(9.0, ColumnKind.NUMERIC, stats).values[0] == np.pi
+    assert encode_column([-5.0], ColumnKind.NUMERIC, stats)[0, 0] == 0.0
+    assert encode_column([9.0], ColumnKind.NUMERIC, stats)[0, 0] == np.pi
 
 
 def test_numeric_degenerate_encodes_zero():
     stats = NumericColumnStats(vmin=3.0, vmax=3.0)
-    assert encode_cell(3.0, ColumnKind.NUMERIC, stats).values[0] == 0.0
+    assert encode_column([3.0], ColumnKind.NUMERIC, stats)[0, 0] == 0.0
 
 
 def test_categorical_one_hot():
     stats = CategoricalColumnStats(vocabulary=("a", "b", "c"))
-    vec = encode_cell("b", ColumnKind.CATEGORICAL, stats).values
+    vec = encode_column(["b"], ColumnKind.CATEGORICAL, stats)[0]
     assert np.array_equal(vec, np.array([0.0, np.pi, 0.0]))
 
 
 def test_unknown_category_zero_vector_and_counter():
     stats = CategoricalColumnStats(vocabulary=("a", "b"))
-    vec = encode_cell("zzz", ColumnKind.CATEGORICAL, stats).values
+    vec = encode_column(["zzz"], ColumnKind.CATEGORICAL, stats)[0]
     assert np.array_equal(vec, np.zeros(2))
     assert stats.unknown_seen == 1
 
@@ -120,12 +119,12 @@ def test_unknown_category_zero_vector_and_counter():
 def test_encoding_missing_cell_is_contract_violation():
     stats = NumericColumnStats(vmin=0.0, vmax=1.0)
     with pytest.raises(ContractViolation):
-        encode_cell(None, ColumnKind.NUMERIC, stats)
+        encode_column([1.0, None], ColumnKind.NUMERIC, stats)
 
 
 def test_text_encoding_in_angle_range():
     stats = fit_preprocessor(make_table(), SCHEMA)
-    vec = encode_cell("chest pain", ColumnKind.TEXT, stats.for_column("note")).values
+    vec = encode_column(["chest pain"], ColumnKind.TEXT, stats.for_column("note"))[0]
     assert vec.shape == (16,)
     assert np.all(vec >= 0.0) and np.all(vec <= np.pi)
 
@@ -272,22 +271,6 @@ def test_mlp_variant_has_no_fixed_embedding():
         emb.embed(0, 0, 2.0)
 
 
-def test_embed_cell_mlp_uses_weights():
-    _, emb = make_embedder(EmbedderVariant.CLASSICAL_MLP)
-    rng = np.random.default_rng(0)
-    weights = {
-        "mlp.w1": rng.normal(size=(emb.d_in_max, 6)),
-        "mlp.b1": np.zeros(6),
-        "mlp.w2": rng.normal(size=(6, emb.embed_dim)),
-        "mlp.b2": np.zeros(emb.embed_dim),
-    }
-    out = embed_cell(2.0, 0, 0, emb, weights)
-    x = np.zeros(emb.d_in_max)
-    x[0] = 0.0  # value 2.0 is the column min -> angle 0
-    expected = np.tanh(x @ weights["mlp.w1"]) @ weights["mlp.w2"]
-    assert np.allclose(out.vector, expected, atol=1e-12)
-
-
 def test_embed_table_zeroes_missing_cells():
     table, emb = make_embedder(EmbedderVariant.QUANTUM_IQP)
     out = emb.embed_table(table)
@@ -336,6 +319,25 @@ def test_embed_table_counts_each_unseen_category_once():
     emb.embed_table(table)
     emb.embed_table(table)
     assert emb.stats.for_column("grade").unknown_seen == 2
+
+
+def test_classical_table_matches_classical_vector():
+    # Every unmasked observed cell is counted once per unknown category,
+    # repeats included: row 0 and row 2 both hold "zzz", row 3's "yyy" is held out.
+    _, emb = make_embedder(EmbedderVariant.CLASSICAL_MLP)
+    table = make_unseen_table()
+    held = np.zeros((5, 3), dtype=bool)
+    held[1, 0] = held[3, 1] = held[4, 2] = True
+    out = emb.classical_table(table, Mask(held))
+    assert emb.stats.for_column("grade").unknown_seen == 2
+    for r, row in enumerate(table.rows):
+        for c, value in enumerate(row):
+            if value is None or held[r, c]:
+                assert np.all(out[r, c] == 0.0)
+                continue
+            vec = emb.classical_vector(r, c, value)
+            assert np.array_equal(out[r, c, : vec.size], vec)
+            assert np.all(out[r, c, vec.size :] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -431,4 +433,20 @@ def test_load_text_embeddings_rejects_non_finite(tmp_path, bad):
         f"7,note,{bad},1.0\n"
     )
     with pytest.raises(QimputeError, match="row 7, column 'note'"):
+        load_text_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ("7,note,0.5,abc", "line 3: could not convert"),
+        ("x7,note,0.5,1.0", "line 3: invalid literal"),
+        ("7", "line 3: expected 4 fields, got 1"),
+        ("7,note,0.5", "line 3: expected 4 fields, got 3"),
+    ],
+)
+def test_load_text_embeddings_rejects_malformed_record(tmp_path, record, message):
+    path = tmp_path / "emb.csv"
+    path.write_text("row_id,column_name,e_0,e_1\n0,note,0.5,0.25\n" + record + "\n")
+    with pytest.raises(QimputeError, match=message):
         load_text_embeddings(path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qimpute.experiment as experiment_module
-from qimpute.encoding import EmbedderVariant, fit_preprocessor
+from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
 from qimpute.errors import ConfigError
 from qimpute.experiment import (
     ExperimentConfig,
@@ -18,9 +18,18 @@ from qimpute.experiment import (
     run_method,
     score_imputation,
 )
-from qimpute.model import ModelConfig
-from qimpute.tabular import ColumnKind, ColumnSpec, DatasetSchema, Table, save_csv, save_schema
-from qimpute.training import TrainConfig
+from qimpute.model import Batch, ModelConfig, forward
+from qimpute.tabular import (
+    ColumnKind,
+    ColumnSpec,
+    DatasetSchema,
+    Mask,
+    Table,
+    missing_mask,
+    save_csv,
+    save_schema,
+)
+from qimpute.training import TrainConfig, train
 
 FAST_MODEL = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, embed_dim=4)
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3)
@@ -288,4 +297,39 @@ def test_export_unknown_label_column(tmp_path):
         export_embeddings(
             split.working, split.schema, split.stats, EmbedderVariant.QUANTUM_IQP,
             seed=0, label_column="nonexistent", path=tmp_path / "x.csv",
+        )
+
+
+def test_export_classical_mlp_cell_matches_forward(tmp_path):
+    split = export_setup()
+    table = split.working
+    observed = ~missing_mask(table).matrix
+    embedder = CellEmbedder(
+        split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP, seed=0, n_qubits=4
+    )
+    no_holdout = Mask(np.zeros(observed.shape, dtype=bool))
+    params = train(
+        table, no_holdout, split.schema, split.stats, embedder,
+        FAST_MODEL, TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3),
+    ).params
+    path = tmp_path / "emb.csv"
+    export_embeddings(
+        table, split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP,
+        seed=0, label_column="diagnosis", path=path, mode="cell", n_qubits=4,
+        params=params,
+    )
+    batch = Batch(token_masked=~observed, xc=embedder.classical_table(table))
+    _, cache = forward(params, batch)
+    lines = path.read_text().strip().split("\n")[1:]
+    cells = [(r, c) for r in range(table.n_rows) for c in np.flatnonzero(observed[r])]
+    assert len(lines) == len(cells)
+    for line, (r, c) in zip(lines, cells):
+        fields = line.split(",")
+        assert (int(fields[0]), fields[1]) == (r, split.schema.columns[c].name)
+        assert fields[3:] == [format(v, ".17g") for v in cache.emb[r, c]]
+
+    with pytest.raises(ConfigError, match="params"):
+        export_embeddings(
+            table, split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP,
+            seed=0, label_column="diagnosis", path=tmp_path / "x.csv", n_qubits=4,
         )

@@ -310,3 +310,37 @@ def test_checkpoint_schema_mismatch(tmp_path):
     )
     with pytest.raises(CheckpointError, match="schema"):
         load_checkpoint(path, expected_schema=other)
+
+
+@pytest.mark.parametrize(
+    "name,value,message",
+    [
+        ("in_proj.w", np.zeros((3, 16)), r"'in_proj.w' is \(3, 16\), expected shape \(4, 16\)"),
+        ("mask_emb", None, "'mask_emb' is missing"),
+        ("bogus", np.zeros(2), "unexpected tensor 'bogus'"),
+    ],
+    ids=["wrong_shape", "missing", "extra"],
+)
+def test_checkpoint_rejects_mismatched_tensors(tmp_path, name, value, message):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    bundle = CheckpointBundle(
+        params=params,
+        stats=stats,
+        schema=table.schema,
+        variant=embedder.variant,
+        embed_seed=embedder.seed,
+        n_qubits=embedder.n_qubits,
+        n_layers=embedder.n_layers,
+        text_dim=16,
+    )
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, bundle)
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    if value is None:
+        del arrays[f"tensor/{name}"]
+    else:
+        arrays[f"tensor/{name}"] = value
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
