@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .encoding import NumericColumnStats, fit_column
 from .tabular import ColumnKind, Mask, Table, missing_mask
 
 
@@ -38,94 +38,79 @@ class BaselineConfig:
 
 
 class _Frame:
-    """Numeric/categorical views of a masked table, shared by the baselines."""
+    """Numeric/categorical views of a masked table, shared by the baselines.
+
+    Slot ``s`` of the numeric (categorical) arrays holds schema column
+    ``numeric_cols[s]`` (``categorical_cols[s]``); unobserved cells are nan
+    (code -1).
+    """
 
     def __init__(self, table: Table, mask: Mask):
         schema = table.schema
         self.table = table
-        self.schema = schema
         self.observed = ~(missing_mask(table).matrix | mask.matrix)
         self.numeric_cols = list(schema.indices_of(ColumnKind.NUMERIC))
         self.categorical_cols = list(schema.indices_of(ColumnKind.CATEGORICAL))
         n_rows = table.n_rows
 
+        self.num_stats: list[NumericColumnStats] = []
         self.num_values = np.full((n_rows, len(self.numeric_cols)), np.nan)
         self.num_norm = np.full((n_rows, len(self.numeric_cols)), np.nan)
-        self.num_stats: list[tuple[float, float]] = []
         for slot, j in enumerate(self.numeric_cols):
-            observed_vals = [
-                table.rows[r][j] for r in range(n_rows) if self.observed[r, j]
-            ]
-            if not observed_vals:
-                raise FitError(
-                    f"column {schema.columns[j].name!r} has no observed values"
-                )
-            vmin, vmax = float(min(observed_vals)), float(max(observed_vals))
-            self.num_stats.append((vmin, vmax))
-            span = vmax - vmin
-            for r in range(n_rows):
-                if self.observed[r, j]:
-                    v = table.rows[r][j]
-                    self.num_values[r, slot] = v
-                    self.num_norm[r, slot] = (v - vmin) / span if span > 0 else 0.0
+            rows, values = self._observed_cells(j)
+            stats = fit_column(schema.columns[j], values)
+            self.num_stats.append(stats)
+            self.num_values[rows, slot] = values
+            self.num_norm[rows, slot] = stats.normalize(values)
 
         self.vocabularies: list[tuple[str, ...]] = []
         self.cat_idx = np.full((n_rows, len(self.categorical_cols)), -1, dtype=int)
         for slot, j in enumerate(self.categorical_cols):
-            vocab: list[str] = []
-            seen = set()
-            for r in range(n_rows):
-                if self.observed[r, j]:
-                    v = table.rows[r][j]
-                    if v not in seen:
-                        seen.add(v)
-                        vocab.append(v)
-            if not vocab:
-                raise FitError(
-                    f"column {schema.columns[j].name!r} has no observed values"
-                )
-            self.vocabularies.append(tuple(vocab))
-            index = {v: i for i, v in enumerate(vocab)}
-            for r in range(n_rows):
-                if self.observed[r, j]:
-                    self.cat_idx[r, slot] = index[table.rows[r][j]]
+            rows, values = self._observed_cells(j)
+            stats = fit_column(schema.columns[j], values)
+            self.vocabularies.append(stats.vocabulary)
+            self.cat_idx[rows, slot] = stats.codes(values)
 
-    def column_mean(self, slot: int) -> float:
-        col = self.num_values[:, slot]
-        return float(np.nanmean(col))
+    def _observed_cells(self, j: int) -> tuple[np.ndarray, list]:
+        rows = np.flatnonzero(self.observed[:, j])
+        return rows, [self.table.rows[r][j] for r in rows]
 
-    def column_mode(self, slot: int) -> str:
-        """Most frequent observed category; ties resolve to vocabulary order."""
-        vocab = self.vocabularies[slot]
-        col = self.cat_idx[:, slot]
-        counts = np.bincount(col[col >= 0], minlength=len(vocab))
-        return vocab[int(np.argmax(counts))]
+    def column_fills(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays shaped like ``num_values`` and ``cat_idx`` that hold, in
+        every row, each column's observed mean and mode code (ties:
+        vocabulary order)."""
+        means = [np.nanmean(self.num_values[:, s]) for s in range(len(self.numeric_cols))]
+        modes = [_mode(self.cat_idx[:, s], len(v)) for s, v in enumerate(self.vocabularies)]
+        n_rows = self.table.n_rows
+        return (
+            np.tile(np.array(means, dtype=np.float64), (n_rows, 1)),
+            np.tile(np.array(modes, dtype=int), (n_rows, 1)),
+        )
 
-    def completed(self, fill: dict[tuple[int, int], float | str]) -> Table:
+    def completed(self, num_fill: np.ndarray, cat_fill: np.ndarray) -> Table:
+        """Copy of the table with every unobserved numeric/categorical cell
+        set from the same position of ``num_fill`` (column units) or
+        ``cat_fill`` (codes), arrays shaped like ``num_values``/``cat_idx``."""
         out = self.table.copy()
-        for (r, j), value in fill.items():
-            out.rows[r][j] = value
+        for slot, j in enumerate(self.numeric_cols):
+            for r in np.flatnonzero(~self.observed[:, j]):
+                out.rows[r][j] = float(num_fill[r, slot])
+        for slot, j in enumerate(self.categorical_cols):
+            vocab = self.vocabularies[slot]
+            for r in np.flatnonzero(~self.observed[:, j]):
+                out.rows[r][j] = vocab[int(cat_fill[r, slot])]
         return out
 
-    def targets(self):
-        """(row, column) pairs needing imputation, numeric + categorical only."""
-        pairs = []
-        for j in self.numeric_cols + self.categorical_cols:
-            for r in range(self.table.n_rows):
-                if not self.observed[r, j] :
-                    pairs.append((r, j))
-        return pairs
+
+def _mode(codes: np.ndarray, width: int) -> int:
+    """Most frequent non-negative code; ties resolve to the lowest code."""
+    return int(np.argmax(np.bincount(codes[codes >= 0], minlength=width)))
 
 
 def mean_mode_impute(table: Table, mask: Mask) -> Table:
     """Numeric missing cells get the observed column mean, categorical the mode."""
     frame = _Frame(table, mask)
-    fill: dict[tuple[int, int], float | str] = {}
-    means = {j: frame.column_mean(s) for s, j in enumerate(frame.numeric_cols)}
-    modes = {j: frame.column_mode(s) for s, j in enumerate(frame.categorical_cols)}
-    for r, j in frame.targets():
-        fill[(r, j)] = means[j] if j in means else modes[j]
-    return frame.completed(fill)
+    return frame.completed(*frame.column_fills())
 
 
 def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
@@ -143,21 +128,13 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     frame = _Frame(table, mask)
-    n_rows = table.n_rows
     num_obs = ~np.isnan(frame.num_norm)
     cat_obs = frame.cat_idx >= 0
-    num_slot = {j: s for s, j in enumerate(frame.numeric_cols)}
-    cat_slot = {j: s for s, j in enumerate(frame.categorical_cols)}
-    means = {j: frame.column_mean(s) for s, j in enumerate(frame.numeric_cols)}
-    modes = {j: frame.column_mode(s) for s, j in enumerate(frame.categorical_cols)}
+    num_fill, cat_fill = frame.column_fills()
 
-    # Distances only depend on the query row (the target column is never
-    # mutually observed), so compute each row's distance vector once.
-    distance_cache: dict[int, np.ndarray] = {}
-
-    def distances_from(r: int) -> np.ndarray:
-        if r in distance_cache:
-            return distance_cache[r]
+    # A row's distances do not depend on the target column (which is never
+    # mutually observed), so each query row is visited once.
+    for r in np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1)):
         shared_num = num_obs[r][None, :] & num_obs
         diffs = np.where(shared_num, frame.num_norm[r][None, :] - frame.num_norm, 0.0)
         euclid = np.sqrt(np.nansum(diffs**2, axis=1))
@@ -167,28 +144,21 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(counts > 0, (euclid + hamming) / counts, np.inf)
         d[r] = np.inf  # a row is not its own neighbor
-        distance_cache[r] = d
-        return d
+        for s in np.flatnonzero(~num_obs[r]):
+            neighbors = _nearest(d, num_obs[:, s], k)
+            if neighbors.size:
+                num_fill[r, s] = np.mean(frame.num_values[neighbors, s])
+        for s in np.flatnonzero(~cat_obs[r]):
+            neighbors = _nearest(d, cat_obs[:, s], k)
+            if neighbors.size:
+                cat_fill[r, s] = _mode(frame.cat_idx[neighbors, s], len(frame.vocabularies[s]))
+    return frame.completed(num_fill, cat_fill)
 
-    fill: dict[tuple[int, int], float | str] = {}
-    for r, j in frame.targets():
-        d = distances_from(r)
-        candidates = np.flatnonzero(frame.observed[:, j] & np.isfinite(d))
-        if candidates.size == 0:
-            fill[(r, j)] = means[j] if j in num_slot else modes[j]
-            continue
-        order = candidates[np.lexsort((candidates, d[candidates]))]
-        neighbors = order[:k]
-        if j in num_slot:
-            fill[(r, j)] = float(
-                np.mean(frame.num_values[neighbors, num_slot[j]])
-            )
-        else:
-            slot = cat_slot[j]
-            vocab = frame.vocabularies[slot]
-            counts = np.bincount(frame.cat_idx[neighbors, slot], minlength=len(vocab))
-            fill[(r, j)] = vocab[int(np.argmax(counts))]
-    return frame.completed(fill)
+
+def _nearest(d: np.ndarray, candidate: np.ndarray, k: int) -> np.ndarray:
+    """Up to k candidate rows at finite distance, nearest first (ties: row index)."""
+    rows = np.flatnonzero(candidate & np.isfinite(d))
+    return rows[np.lexsort((rows, d[rows]))][:k]
 
 
 def iterative_ridge_impute(table: Table, mask: Mask, config: BaselineConfig) -> Table:
@@ -210,25 +180,19 @@ def iterative_ridge_with_trace(
     """
     frame = _Frame(table, mask)
     n_rows = table.n_rows
-    num_slot = {j: s for s, j in enumerate(frame.numeric_cols)}
-    cat_slot = {j: s for s, j in enumerate(frame.categorical_cols)}
 
     # Working state in normalized space, initialized with mean/mode.
     work_num = frame.num_norm.copy()
-    for s, j in enumerate(frame.numeric_cols):
+    for s in range(len(frame.numeric_cols)):
         col = work_num[:, s]
         col[np.isnan(col)] = np.nanmean(frame.num_norm[:, s])
-    work_cat = frame.cat_idx.copy()
-    for s, j in enumerate(frame.categorical_cols):
-        mode_idx = frame.vocabularies[s].index(frame.column_mode(s))
-        work_cat[work_cat[:, s] < 0, s] = mode_idx
+    work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
 
     target_cols = [
         j
-        for j in frame.numeric_cols + frame.categorical_cols
+        for j in sorted(frame.numeric_cols + frame.categorical_cols)  # schema order
         if not frame.observed[:, j].all()
     ]
-    target_cols.sort()  # schema order
 
     def predictor_matrix(exclude: int) -> np.ndarray:
         parts = []
@@ -263,8 +227,8 @@ def iterative_ridge_with_trace(
             missing_rows = np.flatnonzero(~frame.observed[:, j])
             train_rows = np.flatnonzero(frame.observed[:, j])
             x = predictor_matrix(exclude=j)
-            if j in num_slot:
-                s = num_slot[j]
+            if j in frame.numeric_cols:
+                s = frame.numeric_cols.index(j)
                 if x.shape[1] == 0:
                     preds = np.full(n_rows, frame.num_norm[train_rows, s].mean())
                 else:
@@ -275,7 +239,7 @@ def iterative_ridge_with_trace(
                 deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
                 work_num[missing_rows, s] = new
             else:
-                s = cat_slot[j]
+                s = frame.categorical_cols.index(j)
                 vocab = frame.vocabularies[s]
                 onehot = np.zeros((train_rows.size, len(vocab)))
                 onehot[np.arange(train_rows.size), frame.cat_idx[train_rows, s]] = 1.0
@@ -294,13 +258,7 @@ def iterative_ridge_with_trace(
             converged = True
             break
 
-    fill: dict[tuple[int, int], float | str] = {}
-    for r, j in frame.targets():
-        if j in num_slot:
-            s = num_slot[j]
-            vmin, vmax = frame.num_stats[s]
-            fill[(r, j)] = float(work_num[r, s] * (vmax - vmin) + vmin)
-        else:
-            s = cat_slot[j]
-            fill[(r, j)] = frame.vocabularies[s][int(work_cat[r, s])]
-    return frame.completed(fill), changes, converged
+    num_fill = np.empty_like(work_num)
+    for s, stats in enumerate(frame.num_stats):
+        num_fill[:, s] = stats.denormalize(work_num[:, s])
+    return frame.completed(num_fill, work_cat), changes, converged

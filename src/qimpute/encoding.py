@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, FitError, QimputeError
 from .quantum import IqpParams, iqp_expectations
 from .rng import EMBED, PROJECTION, substream
-from .tabular import CellValue, ColumnKind, DatasetSchema, Mask, Table, missing_mask
+from .tabular import CellValue, ColumnKind, ColumnSpec, DatasetSchema, Mask, Table, missing_mask
 
 logger = logging.getLogger(__name__)
 
@@ -58,17 +58,31 @@ class NumericColumnStats:
     def degenerate(self) -> bool:
         return self.vmax == self.vmin
 
+    @property
+    def span(self) -> float:
+        return self.vmax - self.vmin
+
+    def normalize(self, x) -> np.ndarray:
+        """Min-max map to [0, 1] over the fitted range; 0 for a degenerate column."""
+        x = np.asarray(x, dtype=np.float64)
+        if self.degenerate:
+            return np.zeros_like(x)
+        return (x - self.vmin) / self.span
+
+    def denormalize(self, x) -> np.ndarray:
+        """Inverse of :meth:`normalize`, back to column units."""
+        return np.asarray(x, dtype=np.float64) * self.span + self.vmin
+
 
 @dataclass
 class CategoricalColumnStats:
     vocabulary: tuple[str, ...]
     unknown_seen: int = 0
 
-    def index_of(self, category: str) -> int | None:
-        try:
-            return self.vocabulary.index(category)
-        except ValueError:
-            return None
+    def codes(self, values) -> np.ndarray:
+        """Vocabulary index of each value, compared as ``str``; -1 when unknown."""
+        index = {category: i for i, category in enumerate(self.vocabulary)}
+        return np.array([index.get(str(v), -1) for v in values], dtype=int)
 
 
 @dataclass
@@ -184,42 +198,42 @@ def fit_preprocessor(
     text_dim: int = DEFAULT_TEXT_DIM,
     text_embeddings: TextEmbeddings | None = None,
 ) -> PreprocessStats:
-    """Fit normalization constants from observed cells only.
+    """Fit every column's normalization constants from its observed cells."""
+    per_column: dict[str, ColumnStats] = {}
+    for j, spec in enumerate(schema.columns):
+        rows = [r for r, row in enumerate(table.rows) if row[j] is not None]
+        per_column[spec.name] = fit_column(
+            spec, [table.rows[r][j] for r in rows], rows, text_dim, text_embeddings
+        )
+    return PreprocessStats(per_column=per_column)
+
+
+def fit_column(
+    spec: ColumnSpec,
+    values: list[CellValue],
+    rows: list[int] | None = None,
+    text_dim: int = DEFAULT_TEXT_DIM,
+    text_embeddings: TextEmbeddings | None = None,
+) -> ColumnStats:
+    """Fit one column from its observed values.
 
     Numeric columns record observed min/max, categoricals a vocabulary in
     first-appearance order, text columns the per-dimension range of the
-    embedder output. A column with zero observed values is a fit error.
+    embedder output (``rows`` are the values' row ids, for looking up
+    precomputed text vectors). A column with zero observed values is a fit
+    error.
     """
-    per_column: dict[str, ColumnStats] = {}
-    for j, spec in enumerate(schema.columns):
-        observed = [(r, row[j]) for r, row in enumerate(table.rows) if row[j] is not None]
-        if not observed:
-            raise FitError(f"column {spec.name!r} has no observed values")
-        if spec.kind == ColumnKind.NUMERIC:
-            values = [v for _, v in observed]
-            per_column[spec.name] = NumericColumnStats(
-                vmin=float(min(values)), vmax=float(max(values))
-            )
-        elif spec.kind == ColumnKind.CATEGORICAL:
-            vocab: list[str] = []
-            seen = set()
-            for _, v in observed:
-                if v not in seen:
-                    seen.add(v)
-                    vocab.append(v)
-            per_column[spec.name] = CategoricalColumnStats(vocabulary=tuple(vocab))
-        else:
-            dim = text_embeddings.dim if text_embeddings is not None else text_dim
-            raw = np.stack(
-                [
-                    _raw_text_vector(r, spec.name, v, dim, text_embeddings)
-                    for r, v in observed
-                ]
-            )
-            per_column[spec.name] = TextColumnStats(
-                dim=dim, dim_min=raw.min(axis=0), dim_max=raw.max(axis=0)
-            )
-    return PreprocessStats(per_column=per_column)
+    if not values:
+        raise FitError(f"column {spec.name!r} has no observed values")
+    if spec.kind == ColumnKind.NUMERIC:
+        return NumericColumnStats(vmin=float(min(values)), vmax=float(max(values)))
+    if spec.kind == ColumnKind.CATEGORICAL:
+        return CategoricalColumnStats(vocabulary=tuple(dict.fromkeys(values)))
+    dim = text_embeddings.dim if text_embeddings is not None else text_dim
+    raw = np.stack(
+        [_raw_text_vector(r, spec.name, v, dim, text_embeddings) for r, v in zip(rows, values)]
+    )
+    return TextColumnStats(dim=dim, dim_min=raw.min(axis=0), dim_max=raw.max(axis=0))
 
 
 def _raw_text_vector(
@@ -251,14 +265,15 @@ def encode_column(
     kind: ColumnKind,
     stats: ColumnStats,
     column: str = "",
-    raw_text: list[np.ndarray | None] | None = None,
+    raw_text: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Observed cells of one column -> (len(values), width) features in [0, pi].
 
-    ``raw_text`` holds, per cell, a precomputed text vector that replaces
-    the hashing default, or None. Encoding a missing value is a contract
-    violation, not a silent zero. Each unknown category encoded counts once
-    in ``stats.unknown_seen`` and maps to the all-zeros vector.
+    ``raw_text`` holds, per cell, the text vector to scale in place of the
+    hashed value (``CellEmbedder`` passes its precomputed overrides).
+    Encoding a missing value is a contract violation, not a silent zero.
+    Each unknown category encoded counts once in ``stats.unknown_seen`` and
+    maps to the all-zeros vector.
     """
     if any(v is None for v in values):
         raise ContractViolation(f"attempted to encode a missing cell in column {column!r}")
@@ -266,36 +281,32 @@ def encode_column(
         assert isinstance(stats, NumericColumnStats)
         if stats.degenerate:
             return np.zeros((len(values), 1))
+        # Scaled before dividing, unlike pi * stats.normalize(x), which
+        # rounds differently and would move every embedding's last bits.
         x = np.array([float(v) for v in values], dtype=np.float64)
-        angles = np.pi * (x - stats.vmin) / (stats.vmax - stats.vmin)
+        angles = np.pi * (x - stats.vmin) / stats.span
         return np.clip(angles, 0.0, np.pi)[:, None]
     if kind == ColumnKind.CATEGORICAL:
         assert isinstance(stats, CategoricalColumnStats)
-        index = {category: i for i, category in enumerate(stats.vocabulary)}
+        codes = stats.codes(values)
         out = np.zeros((len(values), len(stats.vocabulary)))
-        for i, value in enumerate(values):
-            idx = index.get(str(value))
-            if idx is None:
-                stats.unknown_seen += 1
-                logger.warning(
-                    "unknown category %r in column %r mapped to all-zeros", value, column
-                )
-            else:
-                out[i, idx] = np.pi
+        known = np.flatnonzero(codes >= 0)
+        out[known, codes[known]] = np.pi
+        for i in np.flatnonzero(codes < 0):
+            stats.unknown_seen += 1
+            logger.warning(
+                "unknown category %r in column %r mapped to all-zeros", values[i], column
+            )
         return out
     assert isinstance(stats, TextColumnStats)
     if not values:
         return np.zeros((0, stats.dim))
-    overrides = raw_text if raw_text is not None else [None] * len(values)
-    raw = np.stack(
-        [
-            text_embed_hashing(str(v), stats.dim) if t is None else t
-            for v, t in zip(values, overrides)
-        ]
-    )
+    if raw_text is None:
+        raw_text = [text_embed_hashing(str(v), stats.dim) for v in values]
     span = stats.dim_max - stats.dim_min
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = np.where(span > 0.0, (raw - stats.dim_min) / np.where(span > 0, span, 1.0), 0.0)
+    scaled = np.where(
+        span > 0.0, (np.stack(raw_text) - stats.dim_min) / np.where(span > 0, span, 1.0), 0.0
+    )
     return np.clip(scaled, 0.0, 1.0) * np.pi
 
 
@@ -420,12 +431,14 @@ class CellEmbedder:
     def _encode(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
         """(len(rows), width) classical features of observed cells of one column."""
         spec = self.schema.columns[col]
+        stats = self.stats.for_column(spec.name)
         raw_text = None
         if spec.kind == ColumnKind.TEXT and self.text_embeddings is not None:
-            raw_text = [self.text_embeddings.lookup(r, spec.name) for r in rows]
-        return encode_column(
-            values, spec.kind, self.stats.for_column(spec.name), spec.name, raw_text
-        )
+            raw_text = [
+                _raw_text_vector(r, spec.name, v, stats.dim, self.text_embeddings)
+                for r, v in zip(rows, values)
+            ]
+        return encode_column(values, spec.kind, stats, spec.name, raw_text)
 
     def embed(self, row: int, col: int, value: CellValue) -> np.ndarray:
         """Fixed-variant embedding of one observed cell."""

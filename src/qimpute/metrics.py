@@ -11,17 +11,33 @@ truth, with F1 = 0 whenever precision + recall = 0.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .encoding import NumericColumnStats, PreprocessStats
 from .tabular import ColumnKind, Mask, Table
 
 
-def _normalize(value: float, stats: NumericColumnStats) -> float:
-    span = stats.vmax - stats.vmin
-    if span <= 0.0:
-        return 0.0
-    return (value - stats.vmin) / span
+def _scored_cells(imputed: Table, truth: Table, mask: Mask, j: int) -> tuple[list, list]:
+    """(imputed, true) values at column j's masked cells that have a truth value.
+
+    Raises ValueError when the imputation left such a cell missing.
+    """
+    preds, trues = [], []
+    for r in np.flatnonzero(mask.matrix[:, j]):
+        true_value = truth.rows[r][j]
+        if true_value is None:
+            continue
+        pred = imputed.rows[r][j]
+        if pred is None:
+            raise ValueError(
+                f"imputed table still missing cell (row {r}, "
+                f"column {imputed.schema.columns[j].name!r})"
+            )
+        preds.append(pred)
+        trues.append(true_value)
+    return preds, trues
 
 
 def rmse_numeric(
@@ -33,41 +49,32 @@ def rmse_numeric(
     no masked numeric cell has a truth value (absent, not zero).
     """
     schema = imputed.schema
-    sq_errors: list[float] = []
+    diffs = []
     for j in schema.indices_of(ColumnKind.NUMERIC):
         col_stats = stats.for_column(schema.columns[j].name)
         assert isinstance(col_stats, NumericColumnStats)
-        for r in np.flatnonzero(mask.matrix[:, j]):
-            true_value = truth.rows[r][j]
-            if true_value is None:
-                continue
-            pred = imputed.rows[r][j]
-            if pred is None:
-                raise ValueError(
-                    f"imputed table still missing cell (row {r}, "
-                    f"column {schema.columns[j].name!r})"
-                )
-            diff = _normalize(pred, col_stats) - _normalize(true_value, col_stats)
-            sq_errors.append(diff * diff)
-    if not sq_errors:
+        preds, trues = _scored_cells(imputed, truth, mask, j)
+        diffs.append(col_stats.normalize(preds) - col_stats.normalize(trues))
+    diff = np.concatenate([np.zeros(0), *diffs])
+    if diff.size == 0:
         return None
-    return float(np.sqrt(np.mean(sq_errors)))
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def rmse_raw_per_column(
     imputed: Table, truth: Table, mask: Mask
 ) -> dict[str, float]:
-    """Raw-unit RMSE per numeric column over masked cells with truth."""
+    """Raw-unit RMSE per numeric column over masked cells with truth.
+
+    Raises ValueError, as :func:`rmse_numeric` does, when the imputation
+    left a scored cell missing.
+    """
     schema = imputed.schema
     out: dict[str, float] = {}
     for j in schema.indices_of(ColumnKind.NUMERIC):
-        sq: list[float] = []
-        for r in np.flatnonzero(mask.matrix[:, j]):
-            true_value = truth.rows[r][j]
-            if true_value is None or imputed.rows[r][j] is None:
-                continue
-            sq.append((imputed.rows[r][j] - true_value) ** 2)
-        if sq:
+        preds, trues = _scored_cells(imputed, truth, mask, j)
+        if preds:
+            sq = [(p - t) ** 2 for p, t in zip(preds, trues)]
             out[schema.columns[j].name] = float(np.sqrt(np.mean(sq)))
     return out
 
@@ -79,41 +86,19 @@ def macro_f1_categorical(imputed: Table, truth: Table, mask: Mask) -> float | No
     classes present in the truth enter the macro average. Returns None
     when no masked categorical cell has a truth value.
     """
-    schema = imputed.schema
-    tp: dict[tuple[int, str], int] = {}
-    fp: dict[tuple[int, str], int] = {}
-    fn: dict[tuple[int, str], int] = {}
-    truth_classes: set[tuple[int, str]] = set()
-    total = 0
-    for j in schema.indices_of(ColumnKind.CATEGORICAL):
-        for r in np.flatnonzero(mask.matrix[:, j]):
-            true_value = truth.rows[r][j]
-            if true_value is None:
-                continue
-            pred = imputed.rows[r][j]
-            if pred is None:
-                raise ValueError(
-                    f"imputed table still missing cell (row {r}, "
-                    f"column {schema.columns[j].name!r})"
-                )
-            total += 1
-            true_key = (j, str(true_value))
-            pred_key = (j, str(pred))
-            truth_classes.add(true_key)
-            if pred_key == true_key:
-                tp[true_key] = tp.get(true_key, 0) + 1
-            else:
-                fp[pred_key] = fp.get(pred_key, 0) + 1
-                fn[true_key] = fn.get(true_key, 0) + 1
-    if total == 0:
+    pairs = []  # (predicted class, true class) per scored cell
+    for j in imputed.schema.indices_of(ColumnKind.CATEGORICAL):
+        preds, trues = _scored_cells(imputed, truth, mask, j)
+        pairs += [((j, str(p)), (j, str(t))) for p, t in zip(preds, trues)]
+    if not pairs:
         return None
+    predicted = Counter(p for p, _ in pairs)
+    actual = Counter(t for _, t in pairs)
+    hits = Counter(t for p, t in pairs if p == t)
     f1_values = []
-    for key in sorted(truth_classes):
-        tp_k = tp.get(key, 0)
-        precision_den = tp_k + fp.get(key, 0)
-        recall_den = tp_k + fn.get(key, 0)
-        precision = tp_k / precision_den if precision_den else 0.0
-        recall = tp_k / recall_den if recall_den else 0.0
+    for key in sorted(actual):
+        precision = hits[key] / predicted[key] if predicted[key] else 0.0
+        recall = hits[key] / actual[key]
         f1_values.append(
             2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
         )

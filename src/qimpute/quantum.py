@@ -31,6 +31,13 @@ that circuit each single-qubit marginal has the exact closed form
 evaluated by :func:`iqp_expectations` in O(n^2) per angle set, for a whole
 batch of angle sets at once. Expectation values are always exact, never
 sampled. All operations are pure functions of their inputs.
+
+One consequence: when one angle set theta is replicated over the L
+layers, as the encoding pipeline does, Theta = L * theta, so the layer
+count only scales every angle, singles and pairs alike, by L. An L-layer
+embedding is the one-layer embedding of L times the angles. The repeated
+H . U_phi feature map of Havlicek et al. (Nature 567, 209 (2019)) has no
+H . H pair between its layers and does not collapse this way.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .encoding import (
     PreprocessStats,
     TextColumnStats,
 )
-from .errors import CheckpointError, TrainingDiverged
+from .errors import CheckpointError, FitError, TrainingDiverged
 from .model import (
     Batch,
     ColumnHead,
@@ -120,32 +120,33 @@ class TrainResult:
     empty_batches: int = 0
 
 
-def _normalized_numeric_targets(
-    table: Table, schema: DatasetSchema, stats: PreprocessStats
-) -> np.ndarray:
-    out = np.zeros((table.n_rows, schema.n_columns))
-    for j in schema.indices_of(ColumnKind.NUMERIC):
-        col = stats.for_column(schema.columns[j].name)
-        assert isinstance(col, NumericColumnStats)
-        span = col.vmax - col.vmin
-        for r, row in enumerate(table.rows):
-            if row[j] is not None and span > 0.0:
-                out[r, j] = (row[j] - col.vmin) / span
-    return out
+def _targets(
+    table: Table, observed: np.ndarray, schema: DatasetSchema, stats: PreprocessStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized numeric and category-code targets at the observed cells.
 
-
-def _categorical_target_indices(
-    table: Table, schema: DatasetSchema, stats: PreprocessStats
-) -> np.ndarray:
-    out = np.zeros((table.n_rows, schema.n_columns), dtype=int)
-    for j in schema.indices_of(ColumnKind.CATEGORICAL):
-        col = stats.for_column(schema.columns[j].name)
-        assert isinstance(col, CategoricalColumnStats)
-        for r, row in enumerate(table.rows):
-            if row[j] is not None:
-                idx = col.index_of(str(row[j]))
-                out[r, j] = idx if idx is not None else 0
-    return out
+    Every other position holds 0 and is never supervised. An observed
+    category missing from the fitted vocabulary is a fit error, not a
+    silent class-0 target.
+    """
+    num_targets = np.zeros(observed.shape)
+    cat_targets = np.zeros(observed.shape, dtype=int)
+    for j, spec in enumerate(schema.columns):
+        rows = np.flatnonzero(observed[:, j])
+        values = [table.rows[r][j] for r in rows]
+        col = stats.for_column(spec.name)
+        if spec.kind == ColumnKind.NUMERIC:
+            num_targets[rows, j] = col.normalize(values)
+        elif spec.kind == ColumnKind.CATEGORICAL:
+            codes = col.codes(values)
+            unknown = np.flatnonzero(codes < 0)
+            if unknown.size:
+                raise FitError(
+                    f"column {spec.name!r}: training category {values[unknown[0]]!r} "
+                    f"(row {rows[unknown[0]]}) is not in the fitted vocabulary"
+                )
+            cat_targets[rows, j] = codes
+    return num_targets, cat_targets
 
 
 def train(
@@ -163,8 +164,7 @@ def train(
     both are treated as genuinely missing (mask tokens, never targets).
     Returns the trained parameters and the per-epoch mean loss.
     """
-    full_missing = missing_mask(table).matrix | mask.matrix
-    observed = ~full_missing
+    observed = ~(missing_mask(table).matrix | mask.matrix)
     n_rows, n_cols = observed.shape
 
     eligible = observed.copy()
@@ -173,6 +173,7 @@ def train(
     is_numeric = np.zeros(n_cols, dtype=bool)
     is_numeric[list(schema.indices_of(ColumnKind.NUMERIC))] = True
 
+    num_targets, cat_targets = _targets(table, observed, schema, stats)
     use_mlp = embedder.variant == EmbedderVariant.CLASSICAL_MLP
     if use_mlp:
         features = embedder.classical_table(table, mask)
@@ -180,9 +181,6 @@ def train(
     else:
         features = embedder.embed_table(table, mask)
         mlp_d_in = 0
-
-    num_targets = _normalized_numeric_targets(table, schema, stats)
-    cat_targets = _categorical_target_indices(table, schema, stats)
 
     params = init_params(schema, stats, model_config, seed=config.seed, mlp_d_in=mlp_d_in)
     adam = AdamState.for_params(params)
@@ -256,8 +254,7 @@ def impute_table(
     categorical outputs are the argmax category. Observed cells are copied
     unchanged; missing text cells stay missing.
     """
-    full_missing = missing_mask(table).matrix | mask.matrix
-    observed = ~full_missing
+    observed = ~(missing_mask(table).matrix | mask.matrix)
     use_mlp = embedder.variant == EmbedderVariant.CLASSICAL_MLP
     features = (
         embedder.classical_table(table, mask) if use_mlp else embedder.embed_table(table, mask)
@@ -275,21 +272,15 @@ def impute_table(
         preds = predict_masked(params, batch)
         for col, (batch_row_idx, values) in preds.items():
             spec = schema.columns[col]
+            col_stats = stats.for_column(spec.name)
             if spec.kind == ColumnKind.NUMERIC:
-                col_stats = stats.for_column(spec.name)
-                assert isinstance(col_stats, NumericColumnStats)
-                span = col_stats.vmax - col_stats.vmin
-                lo = col_stats.vmin - IMPUTE_CLAMP_MARGIN * span
-                hi = col_stats.vmax + IMPUTE_CLAMP_MARGIN * span
-                raw = np.clip(values * span + col_stats.vmin, lo, hi)
-                for br, value in zip(batch_row_idx, raw):
-                    out.rows[int(rows[br])][col] = float(value)
+                margin = IMPUTE_CLAMP_MARGIN * col_stats.span
+                lo, hi = col_stats.vmin - margin, col_stats.vmax + margin
+                fills = np.clip(col_stats.denormalize(values), lo, hi).tolist()
             else:
-                col_stats = stats.for_column(spec.name)
-                assert isinstance(col_stats, CategoricalColumnStats)
-                choices = np.argmax(values, axis=1)
-                for br, choice in zip(batch_row_idx, choices):
-                    out.rows[int(rows[br])][col] = col_stats.vocabulary[int(choice)]
+                fills = [col_stats.vocabulary[c] for c in np.argmax(values, axis=1)]
+            for r, value in zip(rows[batch_row_idx].tolist(), fills):
+                out.rows[r][col] = value
     return out
 
 

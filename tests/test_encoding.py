@@ -417,6 +417,19 @@ def test_text_override_changes_fit_and_encoding(tmp_path):
     assert x[1] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "variant", [EmbedderVariant.CLASSICAL_MLP, EmbedderVariant.QUANTUM_IQP]
+)
+def test_text_override_of_wrong_width_names_cell(variant):
+    table = make_table()
+    stats = fit_preprocessor(table, SCHEMA)  # hashed text, dim 16
+    overrides = TextEmbeddings(dim=2, vectors={(1, "note"): np.array([0.5, 0.5])})
+    emb = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, text_embeddings=overrides)
+    build = emb.classical_table if variant == EmbedderVariant.CLASSICAL_MLP else emb.embed_table
+    with pytest.raises(QimputeError, match=r"\(row 1, 'note'\) has shape \(2,\), expected \(16,\)"):
+        build(table)
+
+
 def test_load_text_embeddings_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("row,col,e_0\n0,note,1.0\n")

@@ -88,6 +88,21 @@ def test_rmse_raw_per_column():
     assert raw["v"] == pytest.approx(math.sqrt((9.0 + 16.0) / 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda imputed, truth, mask: rmse_numeric(imputed, truth, mask, stats_minmax(0, 20)),
+        rmse_raw_per_column,
+    ],
+    ids=["rmse_numeric", "rmse_raw_per_column"],
+)
+def test_rmse_rejects_unfilled_masked_cell(score):
+    truth = Table(NUM_SCHEMA, [[10.0], [20.0]])
+    imputed = Table(NUM_SCHEMA, [[13.0], [None]])
+    with pytest.raises(ValueError, match=r"still missing cell \(row 1, column 'v'\)"):
+        score(imputed, truth, mask_for(NUM_SCHEMA, [[True], [True]]))
+
+
 # ---------------------------------------------------------------------------
 # macro F1
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import qimpute.training as training_module
 from qimpute.datasets import make_toy_table
 from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
-from qimpute.errors import CheckpointError, TrainingDiverged
+from qimpute.errors import CheckpointError, FitError, TrainingDiverged
 from qimpute.model import Batch, LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -135,6 +135,22 @@ def test_train_mlp_variant_updates_mlp_weights():
         table.schema, stats, SMALL_MODEL, seed=4, mlp_d_in=embedder.d_in_max
     )
     assert not np.array_equal(result.params.tensors["mlp.w1"], fresh.tensors["mlp.w1"])
+
+
+def test_train_rejects_category_outside_fitted_vocabulary():
+    schema = DatasetSchema(
+        (ColumnSpec("v", ColumnKind.NUMERIC), ColumnSpec("g", ColumnKind.CATEGORICAL))
+    )
+    stats = fit_preprocessor(Table(schema, [[0.0, "x"], [1.0, "x"]]), schema)
+    table = Table(schema, [[0.2, "x"], [0.7, "y"], [0.9, "y"]])
+    embedder = CellEmbedder(schema, stats, EmbedderVariant.QUANTUM_IQP, seed=1, n_qubits=4)
+    no_mask = Mask(np.zeros((3, 2), dtype=bool))
+    with pytest.raises(FitError, match=r"column 'g'.*'y' \(row 1\)"):
+        train(table, no_mask, schema, stats, embedder, SMALL_MODEL, TrainConfig(epochs=1))
+    # A held-out cell is never a target, so its category need not be known.
+    held_out = np.zeros((3, 2), dtype=bool)
+    held_out[1:, 1] = True
+    train(table, Mask(held_out), schema, stats, embedder, SMALL_MODEL, TrainConfig(epochs=1))
 
 
 def test_masking_hygiene_missing_cells_never_supervised(monkeypatch):
