@@ -200,32 +200,68 @@ class _Cache:
         self.blocks = []
 
 
+def _weight_grad(a, b):
+    """Sum over all leading axes of outer(a, b): (..., d), (..., e) -> (d, e) as one gemm."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _column_sums(a):
+    """Sum over all leading axes: (..., e) -> (e,) as one gemv."""
+    flat = a.reshape(-1, a.shape[-1])
+    return np.ones(flat.shape[0]) @ flat
+
+
+def _row_sums(a):
+    """Sum over the last axis: (..., k) -> (...) as one gemv.
+
+    numpy reduces a short last axis row by row; BLAS does it in one call.
+    """
+    flat = a.reshape(-1, a.shape[-1])
+    return (flat @ np.ones(flat.shape[1])).reshape(a.shape[:-1])
+
+
 def _layer_norm_forward(x, scale, offset):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    return xhat * scale + offset, (xhat, inv_std)
+    """Layer norm over the rows of an (N, d) matrix; row moments are gemvs."""
+    d = x.shape[1]
+    xhat = x - (_row_sums(x) / d)[:, None]
+    inv_std = (1.0 / np.sqrt(_row_sums(xhat * xhat) / d + LN_EPS))[:, None]
+    xhat *= inv_std
+    y = xhat * scale
+    y += offset
+    return y, (xhat, inv_std)
 
 
 def _layer_norm_backward(dy, scale, cache):
+    """Input, scale and offset gradients of ``_layer_norm_forward``.
+
+    The three reductions share one product: the columns of dy * xhat sum
+    to d_scale, and the same matrix against ``scale`` gives the row mean of
+    dxhat * xhat (dxhat = dy * scale), next to the row mean of dxhat.
+    """
     xhat, inv_std = cache
-    d_scale = (dy * xhat).sum(axis=(0, 1))
-    d_offset = dy.sum(axis=(0, 1))
-    dxhat = dy * scale
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, d_scale, d_offset
+    d = dy.shape[1]
+    prod = dy * xhat
+    d_scale = _column_sums(prod)
+    mean_dxhat = (dy @ scale) / d
+    mean_dxhat_xhat = (prod @ scale) / d
+    dx = dy * scale
+    dx -= mean_dxhat[:, None]
+    dx -= np.multiply(xhat, mean_dxhat_xhat[:, None], out=prod)
+    dx *= inv_std
+    return dx, d_scale, _column_sums(dy)
 
 
 def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: ``x`` is overwritten.
+
+    The row maxima are taken down the columns of a transposed copy, which
+    numpy reduces far faster than a short last axis.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    rows -= rows.T.copy().max(axis=0)[:, None]
+    np.exp(rows, out=rows)
+    rows /= _row_sums(rows)[:, None]
+    return rows.reshape(x.shape)
 
 
 def mlp_embed(
@@ -242,6 +278,11 @@ def mlp_embed(
 
 def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
     """Run the token pipeline; returns final hidden states (B, C, d_model)."""
+    return _forward(params, batch, retain=True)
+
+
+def _forward(params: ModelParams, batch: Batch, retain: bool) -> tuple[np.ndarray, _Cache]:
+    """The token pipeline; each block's intermediates are kept only if ``retain``."""
     cfg = params.config
     t = params.tensors
     n_cols = len(params.columns)
@@ -272,42 +313,59 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
         emb = batch.emb
     cache.emb = emb
 
+    # Tokens are kept as an (N, d_model) matrix, N = B * C, so every
+    # projection is one gemm; attention reshapes to head-major views.
+    b, c = masked.shape
     gate = ~masked[..., None]
     cache.proj_grad_gate = gate
-    projected = (emb * gate) @ t["in_proj.w"]
-    x = np.where(masked[..., None], t["mask_emb"], projected) + t["col_emb"][None, :, :]
-
-    n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-    scale = 1.0 / np.sqrt(d_head)
-    b, c = masked.shape
+    projected = (emb * gate).reshape(b * c, emb.shape[2]) @ t["in_proj.w"]
+    x = np.where(masked.reshape(b * c, 1), t["mask_emb"], projected)
+    tokens = x.reshape(b, c, cfg.d_model)
+    tokens += t["col_emb"]
     for i in range(cfg.n_blocks):
-        p = f"block{i}."
-        x_in = x
-        y1, ln1_cache = _layer_norm_forward(x_in, t[p + "ln1.scale"], t[p + "ln1.offset"])
-        q = y1 @ t[p + "attn.wq"] + t[p + "attn.bq"]
-        k = y1 @ t[p + "attn.wk"] + t[p + "attn.bk"]
-        v = y1 @ t[p + "attn.wv"] + t[p + "attn.bv"]
-        qh = q.reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
-        kh = k.reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
-        vh = v.reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale
-        probs = _softmax(scores)
-        zh = probs @ vh
-        z = zh.transpose(0, 2, 1, 3).reshape(b, c, cfg.d_model)
-        attn_out = z @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        x_mid = x_in + attn_out
-        y2, ln2_cache = _layer_norm_forward(x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"])
-        f_pre = y2 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
-        f_act = np.maximum(f_pre, 0.0)
-        x = x_mid + f_act @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
-        cache.blocks.append(
+        x = _block_forward(t, f"block{i}.", x, (b, c), cfg, cache.blocks if retain else None)
+    return x.reshape(b, c, cfg.d_model), cache
+
+
+def _block_forward(t, p, x_in, shape, cfg, store):
+    """One pre-norm block on (N, d) tokens, N = B * C for ``shape`` (B, C).
+
+    Appends the block's intermediates to ``store`` unless it is None.
+    """
+    b, c = shape
+    n, d = x_in.shape
+    n_heads, d_head = cfg.n_heads, d // cfg.n_heads
+    y1, ln1_cache = _layer_norm_forward(x_in, t[p + "ln1.scale"], t[p + "ln1.offset"])
+    # Q, K and V side by side: one (d, 3d) product; checkpoints keep wq/wk/wv
+    w_qkv = np.concatenate((t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]), axis=1)
+    qkv = y1 @ w_qkv
+    qkv += np.concatenate((t[p + "attn.bq"], t[p + "attn.bk"], t[p + "attn.bv"]))
+    # (3, B, heads, C, d_head) views of the one product
+    qh, kh, vh = qkv.reshape(b, c, 3, n_heads, d_head).transpose(2, 0, 3, 1, 4)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= 1.0 / np.sqrt(d_head)
+    probs = _softmax(scores)
+    z = np.empty((b, c, n_heads, d_head))
+    np.matmul(probs, vh, out=z.transpose(0, 2, 1, 3))
+    z = z.reshape(n, d)
+    x_mid = z @ t[p + "attn.wo"]
+    x_mid += t[p + "attn.bo"]
+    x_mid += x_in
+    y2, ln2_cache = _layer_norm_forward(x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"])
+    f_act = y2 @ t[p + "ffn.w1"]
+    f_act += t[p + "ffn.b1"]
+    np.maximum(f_act, 0.0, out=f_act)
+    x = f_act @ t[p + "ffn.w2"]
+    x += x_mid
+    x += t[p + "ffn.b2"]
+    if store is not None:
+        store.append(
             dict(
-                x_in=x_in, y1=y1, ln1=ln1_cache, qh=qh, kh=kh, vh=vh,
-                probs=probs, z=z, x_mid=x_mid, y2=y2, ln2=ln2_cache,
-                f_pre=f_pre, f_act=f_act,
+                y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh,
+                probs=probs, z=z, y2=y2, ln2=ln2_cache, f_act=f_act,
             )
         )
-    return x, cache
+    return x
 
 
 def _group_by_column(positions: np.ndarray):
@@ -395,7 +453,7 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
 
 def loss_value(params: ModelParams, batch: Batch) -> LossBreakdown:
     """Forward pass plus supervised loss; no gradients."""
-    hidden, _ = forward(params, batch)
+    hidden, _ = _forward(params, batch, retain=False)
     breakdown, _, _ = _loss_terms(params, batch, hidden)
     return breakdown
 
@@ -407,72 +465,75 @@ def loss_and_gradients(
     cfg = params.config
     t = params.tensors
     hidden, cache = forward(params, batch)
-    breakdown, dx, grads = _loss_terms(params, batch, hidden)
-    for name in t:
-        if name not in grads:
-            grads[name] = np.zeros_like(t[name])
+    breakdown, d_hidden, grads = _loss_terms(params, batch, hidden)
 
-    n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
+    d = cfg.d_model
+    n_heads, d_head = cfg.n_heads, d // cfg.n_heads
     scale = 1.0 / np.sqrt(d_head)
     b, c = batch.token_masked.shape
+    dx = d_hidden.reshape(b * c, d)
     for i in reversed(range(cfg.n_blocks)):
         p = f"block{i}."
         blk = cache.blocks[i]
         # feed-forward branch
-        d_f2 = dx
-        grads[p + "ffn.w2"] += np.einsum("bcf,bcd->fd", blk["f_act"], d_f2)
-        grads[p + "ffn.b2"] += d_f2.sum(axis=(0, 1))
-        d_act = d_f2 @ t[p + "ffn.w2"].T
-        d_pre = d_act * (blk["f_pre"] > 0.0)
-        grads[p + "ffn.w1"] += np.einsum("bcd,bcf->df", blk["y2"], d_pre)
-        grads[p + "ffn.b1"] += d_pre.sum(axis=(0, 1))
-        d_y2 = d_pre @ t[p + "ffn.w1"].T
-        d_ln2, d_scale2, d_offset2 = _layer_norm_backward(d_y2, t[p + "ln2.scale"], blk["ln2"])
-        grads[p + "ln2.scale"] += d_scale2
-        grads[p + "ln2.offset"] += d_offset2
-        d_x_mid = dx + d_ln2
+        grads[p + "ffn.w2"] = _weight_grad(blk["f_act"], dx)
+        grads[p + "ffn.b2"] = _column_sums(dx)
+        d_pre = dx @ t[p + "ffn.w2"].T
+        d_pre *= blk["f_act"] > 0.0  # ReLU derivative
+        grads[p + "ffn.w1"] = _weight_grad(blk["y2"], d_pre)
+        grads[p + "ffn.b1"] = _column_sums(d_pre)
+        d_ln2, grads[p + "ln2.scale"], grads[p + "ln2.offset"] = _layer_norm_backward(
+            d_pre @ t[p + "ffn.w1"].T, t[p + "ln2.scale"], blk["ln2"]
+        )
+        d_x_mid = d_ln2
+        d_x_mid += dx
         # attention branch
-        d_attn = d_x_mid
-        grads[p + "attn.wo"] += np.einsum("bcd,bce->de", blk["z"], d_attn)
-        grads[p + "attn.bo"] += d_attn.sum(axis=(0, 1))
-        d_z = (d_attn @ t[p + "attn.wo"].T).reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
-        d_probs = d_z @ blk["vh"].swapaxes(-1, -2)
-        d_vh = blk["probs"].swapaxes(-1, -2) @ d_z
+        grads[p + "attn.wo"] = _weight_grad(blk["z"], d_x_mid)
+        grads[p + "attn.bo"] = _column_sums(d_x_mid)
+        d_z = (d_x_mid @ t[p + "attn.wo"].T).reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
         probs = blk["probs"]
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_qh = (d_scores @ blk["kh"]) * scale
-        d_kh = (d_scores.swapaxes(-1, -2) @ blk["qh"]) * scale
-        d_q = d_qh.transpose(0, 2, 1, 3).reshape(b, c, cfg.d_model)
-        d_k = d_kh.transpose(0, 2, 1, 3).reshape(b, c, cfg.d_model)
-        d_v = d_vh.transpose(0, 2, 1, 3).reshape(b, c, cfg.d_model)
-        y1 = blk["y1"]
-        grads[p + "attn.wq"] += np.einsum("bcd,bce->de", y1, d_q)
-        grads[p + "attn.wk"] += np.einsum("bcd,bce->de", y1, d_k)
-        grads[p + "attn.wv"] += np.einsum("bcd,bce->de", y1, d_v)
-        grads[p + "attn.bq"] += d_q.sum(axis=(0, 1))
-        grads[p + "attn.bk"] += d_k.sum(axis=(0, 1))
-        grads[p + "attn.bv"] += d_v.sum(axis=(0, 1))
-        d_y1 = d_q @ t[p + "attn.wq"].T + d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
-        d_ln1, d_scale1, d_offset1 = _layer_norm_backward(d_y1, t[p + "ln1.scale"], blk["ln1"])
-        grads[p + "ln1.scale"] += d_scale1
-        grads[p + "ln1.offset"] += d_offset1
-        dx = d_x_mid + d_ln1
+        d_scores = d_z @ blk["vh"].swapaxes(-1, -2)
+        d_scores -= _row_sums(d_scores * probs)[..., None]
+        d_scores *= probs
+        # d_qkv is laid out like the forward product; the head-major
+        # gradients are written straight into its transposed view.
+        d_qkv = np.empty((b, c, 3, n_heads, d_head))
+        d_qh, d_kh, d_vh = d_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(d_scores, blk["kh"], out=d_qh)
+        d_qh *= scale
+        np.matmul(d_scores.swapaxes(-1, -2), blk["qh"], out=d_kh)
+        d_kh *= scale
+        np.matmul(probs.swapaxes(-1, -2), d_z, out=d_vh)
+        d_qkv = d_qkv.reshape(b * c, 3 * d)
+        (
+            grads[p + "attn.wq"], grads[p + "attn.wk"], grads[p + "attn.wv"]
+        ) = np.split(_weight_grad(blk["y1"], d_qkv), 3, axis=1)
+        (
+            grads[p + "attn.bq"], grads[p + "attn.bk"], grads[p + "attn.bv"]
+        ) = np.split(_column_sums(d_qkv), 3)
+        d_ln1, grads[p + "ln1.scale"], grads[p + "ln1.offset"] = _layer_norm_backward(
+            d_qkv @ blk["w_qkv"].T, t[p + "ln1.scale"], blk["ln1"]
+        )
+        dx = d_ln1
+        dx += d_x_mid
 
     # input stage
-    masked = batch.token_masked
-    grads["mask_emb"] += dx[masked].sum(axis=0)
-    grads["col_emb"] += dx.sum(axis=0)
-    d_projected = dx * cache.proj_grad_gate
-    emb_gated = cache.emb * cache.proj_grad_gate
-    grads["in_proj.w"] += np.einsum("bce,bcd->ed", emb_gated, d_projected)
+    gate = cache.proj_grad_gate.reshape(b * c, 1)
+    grads["mask_emb"] = dx[batch.token_masked.reshape(-1)].sum(axis=0)
+    grads["col_emb"] = dx.reshape(b, c, d).sum(axis=0)
+    d_projected = dx * gate
+    grads["in_proj.w"] = _weight_grad(cache.emb * cache.proj_grad_gate, d_projected)
     if params.with_mlp:
-        d_emb = (d_projected @ t["in_proj.w"].T) * cache.proj_grad_gate
-        grads["mlp.w2"] += np.einsum("bch,bce->he", cache.mlp_act, d_emb)
-        grads["mlp.b2"] += d_emb.sum(axis=(0, 1))
-        d_act = d_emb @ t["mlp.w2"].T
-        d_pre = d_act * (1.0 - cache.mlp_act**2)
-        grads["mlp.w1"] += np.einsum("bci,bch->ih", batch.xc, d_pre)
-        grads["mlp.b1"] += d_pre.sum(axis=(0, 1))
+        d_emb = (d_projected @ t["in_proj.w"].T) * gate
+        grads["mlp.w2"] = _weight_grad(cache.mlp_act, d_emb)
+        grads["mlp.b2"] = _column_sums(d_emb)
+        d_pre = d_emb @ t["mlp.w2"].T
+        d_pre *= 1.0 - cache.mlp_act.reshape(b * c, cfg.mlp_hidden) ** 2
+        grads["mlp.w1"] = _weight_grad(batch.xc, d_pre)
+        grads["mlp.b1"] = _column_sums(d_pre)
+    for name in t:
+        if name not in grads:
+            grads[name] = np.zeros_like(t[name])
     return breakdown, grads
 
 
@@ -482,7 +543,7 @@ def predict_masked(params: ModelParams, batch: Batch):
     Returns {column: (batch rows, predictions)}; numeric predictions live
     in normalized target space, categorical predictions are logits.
     """
-    hidden, _ = forward(params, batch)
+    hidden, _ = _forward(params, batch, retain=False)
     rows, cols = np.nonzero(batch.token_masked)
     keep = np.array(
         [params.columns[c].kind != ColumnKind.TEXT for c in cols], dtype=bool

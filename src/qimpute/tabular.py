@@ -337,10 +337,32 @@ def save_mask(mask: Mask, schema: DatasetSchema, path) -> None:
 
 
 def load_mask(path, schema: DatasetSchema, provenance=MaskProvenance.MIXED) -> Mask:
+    """Read a 0/1 mask CSV written by :func:`save_mask`.
+
+    The header must match the schema; every record must have one field per
+    column, each ``0`` or ``1``. Anything else is a :class:`CsvLoadError`
+    with 1-based row/column coordinates.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvLoadError(f"{path}: mask file is empty") from None
         if tuple(header) != schema.names:
             raise CsvLoadError(f"{path}: mask header does not match schema")
-        matrix = [[field == "1" for field in record] for record in reader]
+        matrix = []
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != schema.n_columns:
+                raise CsvLoadError(
+                    f"{path}: ragged mask row with {len(record)} fields, "
+                    f"expected {schema.n_columns}",
+                    row=lineno,
+                )
+            for name, field in zip(schema.names, record):
+                if field not in ("0", "1"):
+                    raise CsvLoadError(
+                        f"{path}: mask field {field!r} is not 0 or 1", row=lineno, column=name
+                    )
+            matrix.append([field == "1" for field in record])
     return Mask(np.array(matrix, dtype=bool).reshape(-1, schema.n_columns), provenance)

@@ -98,19 +98,25 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    ``m``, ``v`` and the tensors are overwritten, not rebound, with the
+    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    w = w - lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order, so the
+    trajectory is bitwise that of the out-of-place formula. ``grads`` is
+    only read.
+    """
     state.t += 1
     bc1 = 1.0 - config.beta1**state.t
     bc2 = 1.0 - config.beta2**state.t
     for name, tensor in params.tensors.items():
         g = grads[name]
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params.tensors[name] = tensor - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.epsilon
-        )
+        m, v = state.m[name], state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,6 +193,20 @@ def test_threads_parallel_matches_sequential(tmp_path):
     assert (tmp_path / "seq" / "report.json").read_bytes() == (
         tmp_path / "par" / "report.json"
     ).read_bytes()
+
+
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a count the caller chose is kept
+    before = dict(os.environ)
+    spawn = multiprocessing.get_context("spawn")
+    with experiment_module._one_blas_thread_in_new_processes(), ProcessPoolExecutor(
+        max_workers=1, mp_context=spawn
+    ) as pool:
+        seen = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result()
+        kept = pool.submit(os.getenv, "MKL_NUM_THREADS").result()
+    assert (seen, kept) == ("1", "3")
+    assert dict(os.environ) == before
 
 
 def test_csv_dataset_kind(tmp_path):

@@ -11,6 +11,9 @@ from qimpute.encoding import fit_preprocessor
 from qimpute.model import (
     Batch,
     ModelConfig,
+    _column_sums,
+    _row_sums,
+    _weight_grad,
     column_heads,
     forward,
     head_outputs,
@@ -348,3 +351,55 @@ def test_predict_masked_excludes_text():
     )
     preds = predict_masked(params, batch)
     assert set(preds.keys()) == {0}
+
+
+# ---------------------------------------------------------------------------
+# gemm-shaped helpers and the inference path
+# ---------------------------------------------------------------------------
+
+
+def test_weight_grad_matches_einsum():
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(5, 7, 6))
+    g = rng.normal(size=(5, 7, 9))
+    expected = np.einsum("bcd,bce->de", a, g)
+    assert np.allclose(_weight_grad(a, g), expected, rtol=0.0, atol=1e-12)
+    # non-contiguous operands: transposed head-major views as attention makes them
+    qkv = rng.normal(size=(4, 6, 3, 2, 5))
+    qh, kh, _ = qkv.transpose(2, 0, 3, 1, 4)
+    assert not qh.flags.c_contiguous
+    expected = np.einsum("bcd,bce->de", qh.reshape(-1, 6, 5), kh.reshape(-1, 6, 5))
+    got = _weight_grad(qh, kh)
+    assert got.shape == (5, 5)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    wide = rng.normal(size=(6, 4, 8)).transpose(1, 0, 2)
+    assert np.allclose(
+        _weight_grad(wide, wide[..., :3]),
+        np.einsum("bcd,bce->de", wide, wide[..., :3]),
+        rtol=0.0,
+        atol=1e-12,
+    )
+
+
+def test_gemv_sums_match_numpy_sums():
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(3, 4, 5)).transpose(1, 0, 2)
+    assert np.allclose(_column_sums(a), a.sum(axis=(0, 1)), rtol=0.0, atol=1e-12)
+    assert _row_sums(a).shape == (4, 3)
+    assert np.allclose(_row_sums(a), a.sum(axis=-1), rtol=0.0, atol=1e-12)
+
+
+def test_predict_masked_equals_heads_on_caching_forward():
+    rng = np.random.default_rng(33)
+    for mlp_d_in in (0, 6):
+        params = tiny_params(seed=33, mlp_d_in=mlp_d_in)
+        batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+        hidden, cache = forward(params, batch)
+        assert len(cache.blocks) == TINY.n_blocks
+        rows, cols = np.nonzero(batch.token_masked)
+        expected = head_outputs(params, hidden, np.stack([rows, cols], axis=1))
+        got = predict_masked(params, batch)
+        assert got.keys() == expected.keys()
+        for col in expected:
+            assert np.array_equal(got[col][0], expected[col][0])
+            assert np.array_equal(got[col][1], expected[col][1])

@@ -112,6 +112,32 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # three 2-field records hold six fields, which once reshaped into a 2x3 mask
+        ("0,1\n1,0\n0,0\n", r"ragged mask row with 2 fields.*row 2"),
+        ("0,1,0\n1,0\n", r"ragged mask row with 2 fields.*row 3"),
+        ("0,yes,1\n", r"'yes' is not 0 or 1.*row 2, column 'grade'"),
+        ("0,1,0\n0, 1,0\n", r"' 1' is not 0 or 1.*row 3, column 'grade'"),
+        ("0,1,\n", r"'' is not 0 or 1.*row 2, column 'note'"),
+    ],
+    ids=["short_records", "short_second_record", "word", "padded_digit", "blank_field"],
+)
+def test_load_mask_rejects_malformed_records(tmp_path, body, message):
+    path = tmp_path / "mask.csv"
+    path.write_text("amount,grade,note\n" + body)
+    with pytest.raises(CsvLoadError, match=message):
+        load_mask(path, SCHEMA)
+
+
+def test_load_mask_empty_file_names_it(tmp_path):
+    path = tmp_path / "empty_mask.csv"
+    path.write_text("")
+    with pytest.raises(CsvLoadError, match="empty_mask.csv: mask file is empty"):
+        load_mask(path, SCHEMA)
+
+
 def test_schema_round_trip(tmp_path):
     path = tmp_path / "schema.txt"
     save_schema(SCHEMA, path)

@@ -95,6 +95,38 @@ def test_adam_momentum_carries_after_zero_grad():
     assert params.tensors["mask_emb"][0] != first
 
 
+def test_adam_in_place_matches_out_of_place_formula():
+    rng = np.random.default_rng(8)
+    params = scalar_params()
+    config = TrainConfig(learning_rate=3e-3)
+    ref = {k: v.copy() for k, v in params.tensors.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+    state = AdamState.for_params(params)
+    for step in range(1, 4):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, config)
+        for name, g in grads.items():
+            assert np.array_equal(g, before[name]), name  # grads are only read
+        bc1 = 1.0 - config.beta1**step
+        bc2 = 1.0 - config.beta2**step
+        for name in ref:
+            g = before[name]
+            ref_m[name] = config.beta1 * ref_m[name] + (1.0 - config.beta1) * g
+            ref_v[name] = config.beta2 * ref_v[name] + (1.0 - config.beta2) * (g * g)
+            m_hat = ref_m[name] / bc1
+            v_hat = ref_v[name] / bc2
+            ref[name] = ref[name] - config.learning_rate * m_hat / (
+                np.sqrt(v_hat) + config.epsilon
+            )
+    assert state.t == 3
+    for name in ref:
+        assert np.array_equal(params.tensors[name], ref[name]), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
