@@ -37,6 +37,9 @@ class BaselineConfig:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
+_KNN_BLOCK_ROWS = 8  # k-NN query rows per distance block: (8, n_rows, n_numeric) temporaries
+
+
 class _Frame:
     """Numeric/categorical views of a masked table, shared by the baselines.
 
@@ -124,6 +127,8 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     row index); numeric targets take the neighbor mean, categorical the
     neighbor mode. With no candidate rows the value falls back to the
     column mean/mode.
+
+    Distances are computed for a block of query rows at a time (counts by gemm).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -132,33 +137,38 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     cat_obs = frame.cat_idx >= 0
     num_fill, cat_fill = frame.column_fills()
 
-    # A row's distances do not depend on the target column (which is never
-    # mutually observed), so each query row is visited once.
-    for r in np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1)):
-        shared_num = num_obs[r][None, :] & num_obs
-        diffs = np.where(shared_num, frame.num_norm[r][None, :] - frame.num_norm, 0.0)
-        euclid = np.sqrt(np.nansum(diffs**2, axis=1))
-        shared_cat = cat_obs[r][None, :] & cat_obs
-        hamming = (shared_cat & (frame.cat_idx[r][None, :] != frame.cat_idx)).sum(axis=1)
-        counts = shared_num.sum(axis=1) + shared_cat.sum(axis=1)
+    num_zeroed = np.where(num_obs, frame.num_norm, 0.0)
+    num_w, cat_w = num_obs.astype(np.float64), cat_obs.astype(np.float64)
+    widths = [len(v) for v in frame.vocabularies]
+    onehot = np.zeros((table.n_rows, sum(widths)))
+    rows, slots = np.nonzero(cat_obs)
+    onehot[rows, np.cumsum([0] + widths)[slots] + frame.cat_idx[rows, slots]] = 1.0
+
+    # A row's distances do not depend on the target column, which is never
+    # mutually observed; nor is a row ever a candidate for its own missing cells.
+    queries = np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1))
+    for start in range(0, queries.size, _KNN_BLOCK_ROWS):
+        rs = queries[start : start + _KNN_BLOCK_ROWS]
+        diffs = num_zeroed[rs, None, :] - num_zeroed  # (block, n, p_num)
+        diffs *= num_obs[rs, None, :] & num_obs
+        euclid = np.sqrt((diffs**2).sum(axis=2))
+        counts = num_w[rs] @ num_w.T + cat_w[rs] @ cat_w.T
+        hamming = cat_w[rs] @ cat_w.T - onehot[rs] @ onehot.T
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(counts > 0, (euclid + hamming) / counts, np.inf)
-        d[r] = np.inf  # a row is not its own neighbor
-        for s in np.flatnonzero(~num_obs[r]):
-            neighbors = _nearest(d, num_obs[:, s], k)
-            if neighbors.size:
-                num_fill[r, s] = np.mean(frame.num_values[neighbors, s])
-        for s in np.flatnonzero(~cat_obs[r]):
-            neighbors = _nearest(d, cat_obs[:, s], k)
-            if neighbors.size:
-                cat_fill[r, s] = _mode(frame.cat_idx[neighbors, s], len(frame.vocabularies[s]))
+        # Stable: equal distances keep row order; infinite ones sort last.
+        order = np.argsort(d, axis=1, kind="stable")
+        for r, row_order, n_finite in zip(rs, order, np.isfinite(d).sum(axis=1)):
+            near = row_order[:n_finite]
+            for s in np.flatnonzero(~num_obs[r]):
+                neighbors = near[num_obs[near, s]][:k]
+                if neighbors.size:
+                    num_fill[r, s] = np.mean(frame.num_values[neighbors, s])
+            for s in np.flatnonzero(~cat_obs[r]):
+                neighbors = near[cat_obs[near, s]][:k]
+                if neighbors.size:
+                    cat_fill[r, s] = _mode(frame.cat_idx[neighbors, s], widths[s])
     return frame.completed(num_fill, cat_fill)
-
-
-def _nearest(d: np.ndarray, candidate: np.ndarray, k: int) -> np.ndarray:
-    """Up to k candidate rows at finite distance, nearest first (ties: row index)."""
-    rows = np.flatnonzero(candidate & np.isfinite(d))
-    return rows[np.lexsort((rows, d[rows]))][:k]
 
 
 def iterative_ridge_impute(table: Table, mask: Mask, config: BaselineConfig) -> Table:
@@ -183,31 +193,21 @@ def iterative_ridge_with_trace(
 
     # Working state in normalized space, initialized with mean/mode.
     work_num = frame.num_norm.copy()
-    for s in range(len(frame.numeric_cols)):
-        col = work_num[:, s]
+    for s, col in enumerate(work_num.T):  # column views
         col[np.isnan(col)] = np.nanmean(frame.num_norm[:, s])
     work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
 
-    target_cols = [
-        j
-        for j in sorted(frame.numeric_cols + frame.categorical_cols)  # schema order
-        if not frame.observed[:, j].all()
-    ]
+    schema_order = sorted(frame.numeric_cols + frame.categorical_cols)
+    target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
 
     def predictor_matrix(exclude: int) -> np.ndarray:
-        parts = []
-        for s, j in enumerate(frame.numeric_cols):
-            if j != exclude:
-                parts.append(work_num[:, s : s + 1])
-        for s, j in enumerate(frame.categorical_cols):
-            if j != exclude:
-                width = len(frame.vocabularies[s])
-                onehot = np.zeros((n_rows, width))
-                onehot[np.arange(n_rows), work_cat[:, s]] = 1.0
-                parts.append(onehot)
-        if not parts:
-            return np.zeros((n_rows, 0))
-        return np.concatenate(parts, axis=1)
+        parts = [work_num[:, s : s + 1] for s, j in enumerate(frame.numeric_cols) if j != exclude]
+        parts += [
+            np.eye(len(frame.vocabularies[s]))[work_cat[:, s]]  # one-hot rows
+            for s, j in enumerate(frame.categorical_cols)
+            if j != exclude
+        ]
+        return np.concatenate(parts, axis=1) if parts else np.zeros((n_rows, 0))
 
     def ridge_predict(x_train, y_train, x_all):
         """Centered closed-form ridge; multi-target when y has 2 dims."""
@@ -232,25 +232,19 @@ def iterative_ridge_with_trace(
                 if x.shape[1] == 0:
                     preds = np.full(n_rows, frame.num_norm[train_rows, s].mean())
                 else:
-                    preds = ridge_predict(
-                        x[train_rows], frame.num_norm[train_rows, s], x
-                    )
+                    preds = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)
                 new = preds[missing_rows]
                 deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
                 work_num[missing_rows, s] = new
             else:
                 s = frame.categorical_cols.index(j)
-                vocab = frame.vocabularies[s]
-                onehot = np.zeros((train_rows.size, len(vocab)))
-                onehot[np.arange(train_rows.size), frame.cat_idx[train_rows, s]] = 1.0
+                onehot = np.eye(len(frame.vocabularies[s]))[frame.cat_idx[train_rows, s]]
                 if x.shape[1] == 0:
                     scores = np.tile(onehot.mean(axis=0), (n_rows, 1))
                 else:
                     scores = ridge_predict(x[train_rows], onehot, x)
                 new = np.argmax(scores[missing_rows], axis=1)
-                deltas.extend(
-                    (new != work_cat[missing_rows, s]).astype(float).tolist()
-                )
+                deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
                 work_cat[missing_rows, s] = new
         change = float(np.mean(deltas)) if deltas else 0.0
         changes.append(change)

@@ -6,6 +6,9 @@ configured method on the working table, and score the imputations against
 the truth sidecar at the held-out positions. Held-out cell values never
 enter the working table; scoring reads only the sidecar.
 
+Each seed's split is prepared once, in the calling process, and shared by
+all methods of that seed (also across worker processes); none may modify it.
+
 Reports are split into a deterministic part (report.json, byte-identical
 across reruns of the same config) and wall-clock timings (timings.json,
 excluded from the determinism guarantee).
@@ -281,9 +284,8 @@ def score_imputation(imputed: Table, split: PreparedSplit) -> tuple:
     return rmse, f1, raw
 
 
-def _run_task(config: ExperimentConfig, method: str, seed: int) -> SeedScore:
+def _run_task(config: ExperimentConfig, method: str, seed: int, split: PreparedSplit) -> SeedScore:
     """One (method, seed) cell of the experiment grid; catches method errors."""
-    split = prepare_split(config, seed)
     score = SeedScore(seed=seed, mask_hash=split.mask_hash)
     start = time.perf_counter()
     try:
@@ -293,6 +295,14 @@ def _run_task(config: ExperimentConfig, method: str, seed: int) -> SeedScore:
         score.error = f"{type(exc).__name__}: {exc}"
     score.seconds = time.perf_counter() - start
     return score
+
+
+def _tasks(config: ExperimentConfig):
+    """``_run_task`` arguments, seed-major: one split per seed, for all its methods."""
+    for seed in config.seeds:
+        split = prepare_split(config, seed)
+        for method in config.methods:
+            yield config, method, seed, split
 
 
 def _dataset_label(config: ExperimentConfig) -> str:
@@ -325,25 +335,22 @@ def _one_blas_thread_in_new_processes():
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> MetricReport:
     """Run every (method, seed) pair and aggregate; optionally write files."""
-    tasks = [(method, seed) for method in config.methods for seed in config.seeds]
     if config.threads > 1:
         # Spawned, not forked: a fresh worker loads numpy, and so reads the
         # BLAS thread count, under the environment set here.
         with _one_blas_thread_in_new_processes(), ProcessPoolExecutor(
             max_workers=config.threads, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            futures = [pool.submit(_run_task, config, m, s) for m, s in tasks]
+            futures = [pool.submit(_run_task, *task) for task in _tasks(config)]
             scores = [f.result() for f in futures]
     else:
-        scores = [_run_task(config, m, s) for m, s in tasks]
-    by_method: dict[str, list[SeedScore]] = {m: [] for m in config.methods}
-    for (method, _), score in zip(tasks, scores):
-        by_method[method].append(score)
+        scores = [_run_task(*task) for task in _tasks(config)]
+    n_methods = len(config.methods)
     report = MetricReport(
         dataset=_dataset_label(config),
         missing_rate=config.missing_rate,
         seeds=config.seeds,
-        results=[MethodResult(m, by_method[m]) for m in config.methods],
+        results=[MethodResult(m, scores[i::n_methods]) for i, m in enumerate(config.methods)],
     )
     if out_dir is not None:
         write_report(report, out_dir)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,9 +87,7 @@ class Table:
         for j in self.schema.indices_of(ColumnKind.NUMERIC):
             for r, row in enumerate(self.rows):
                 v = row[j]
-                if v is None:
-                    continue
-                if not isinstance(v, float) or not np.isfinite(v):
+                if v is not None and not (isinstance(v, float) and math.isfinite(v)):
                     raise ValueError(
                         f"numeric cell at row {r}, column "
                         f"{self.schema.columns[j].name!r} is not a finite float: {v!r}"
@@ -292,7 +291,7 @@ def load_csv(path, schema: DatasetSchema) -> Table:
                             row=lineno,
                             column=spec.name,
                         ) from None
-                    if not np.isfinite(value):
+                    if not math.isfinite(value):
                         raise CsvLoadError(
                             f"{path}: non-finite numeric value {text!r}",
                             row=lineno,

@@ -315,6 +315,7 @@ def test_criterion_09_mnar_rule():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_ordering():
     start = time.perf_counter()
     config = ExperimentConfig(

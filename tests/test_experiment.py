@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -181,6 +182,34 @@ def test_transformer_method_runs_end_to_end():
     score = report.results[0].per_seed[0]
     assert score.error is None
     assert score.rmse is not None and score.macro_f1 is not None
+
+
+def test_run_experiment_prepares_one_split_per_seed(monkeypatch):
+    prepared = []
+    original = experiment_module.prepare_split
+
+    def counting(config, seed):
+        prepared.append(seed)
+        return original(config, seed)
+
+    monkeypatch.setattr(experiment_module, "prepare_split", counting)
+    config = fast_config(methods=("mean_mode", "knn", "iterative_ridge"), seeds=(0, 1, 2))
+    report = run_experiment(config)
+    assert prepared == [0, 1, 2]
+    assert [[s.seed for s in r.per_seed] for r in report.results] == [[0, 1, 2]] * 3
+    assert all(s.error is None for r in report.results for s in r.per_seed)
+
+
+def test_methods_leave_the_shared_split_unchanged():
+    config = fast_config(n_rows=40)
+    split = prepare_split(config, seed=0)
+    working, full_mask = split.working.content_hash(), split.full_mask.matrix.copy()
+    stats = pickle.dumps(split.stats)
+    for method in ("mean_mode", "knn", "iterative_ridge", "quantum_iqp"):
+        run_method(method, split, config, seed=0)
+        assert split.working.content_hash() == working, method
+        assert np.array_equal(split.full_mask.matrix, full_mask), method
+        assert pickle.dumps(split.stats) == stats, method
 
 
 def test_threads_parallel_matches_sequential(tmp_path):

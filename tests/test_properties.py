@@ -1,4 +1,5 @@
-"""Property tests: every imputer keeps observed cells and fills masked ones.
+"""Property tests: every imputer keeps observed cells and fills masked ones,
+and blocked k-NN matches its one-row-at-a-time reference.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qimpute import baselines
 from qimpute.baselines import (
     BaselineConfig,
     iterative_ridge_impute,
@@ -103,3 +105,93 @@ def test_impute_table_keeps_observed_and_fills_masked(case, variant):
     params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=mlp_d_in)
     out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=3)
     check_imputation(table, mask, before, out)
+
+
+# ---------------------------------------------------------------------------
+# blocked k-NN against the one-query-row-at-a-time loop
+# ---------------------------------------------------------------------------
+
+
+def knn_one_row_at_a_time(table: Table, mask: Mask, k: int) -> Table:
+    """k-NN as it was computed before distances were blocked: one distance
+    vector per query row, one lexsort per imputed cell."""
+    frame = baselines._Frame(table, mask)
+    num_obs = ~np.isnan(frame.num_norm)
+    cat_obs = frame.cat_idx >= 0
+    num_fill, cat_fill = frame.column_fills()
+
+    def nearest(d, candidate):
+        rows = np.flatnonzero(candidate & np.isfinite(d))
+        return rows[np.lexsort((rows, d[rows]))][:k]
+
+    for r in np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1)):
+        shared_num = num_obs[r][None, :] & num_obs
+        diffs = np.where(shared_num, frame.num_norm[r][None, :] - frame.num_norm, 0.0)
+        euclid = np.sqrt(np.nansum(diffs**2, axis=1))
+        shared_cat = cat_obs[r][None, :] & cat_obs
+        hamming = (shared_cat & (frame.cat_idx[r][None, :] != frame.cat_idx)).sum(axis=1)
+        counts = shared_num.sum(axis=1) + shared_cat.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(counts > 0, (euclid + hamming) / counts, np.inf)
+        d[r] = np.inf
+        for s in np.flatnonzero(~num_obs[r]):
+            neighbors = nearest(d, num_obs[:, s])
+            if neighbors.size:
+                num_fill[r, s] = np.mean(frame.num_values[neighbors, s])
+        for s in np.flatnonzero(~cat_obs[r]):
+            neighbors = nearest(d, cat_obs[:, s])
+            if neighbors.size:
+                cat_fill[r, s] = baselines._mode(
+                    frame.cat_idx[neighbors, s], len(frame.vocabularies[s])
+                )
+    return frame.completed(num_fill, cat_fill)
+
+
+BLOCK = baselines._KNN_BLOCK_ROWS
+KNN_COLUMNS = [c for c, spec in enumerate(SCHEMA.columns) if spec.kind != ColumnKind.TEXT]
+# Few distinct numeric values, so unrelated rows also tie exactly.
+KNN_CELLS = {
+    **CELLS,
+    ColumnKind.NUMERIC: st.sampled_from([0.0, 0.5, 2.0, -7.25]) | CELLS[ColumnKind.NUMERIC],
+}
+
+
+@st.composite
+def knn_cases(draw):
+    """(table, mask, k). Query rows (rows with a missing or held-out numeric
+    or categorical cell) number one, a block, a block plus one, or several
+    blocks; each is often a copy of an earlier one (exact distance ties) and
+    has about half its cells missing, so some rows share no observed
+    feature. One to three fully observed rows keep every column fitted and
+    are never held out; k can exceed the candidate count."""
+    n_query = draw(st.sampled_from([1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
+    full = [
+        [draw(KNN_CELLS[spec.kind]) for spec in SCHEMA.columns]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    queries = []
+    for _ in range(n_query):
+        if queries and draw(st.booleans()):
+            queries.append(list(draw(st.sampled_from(queries))))
+            continue
+        row = [
+            None if draw(st.booleans()) else draw(KNN_CELLS[spec.kind])
+            for spec in SCHEMA.columns
+        ]
+        row[draw(st.sampled_from(KNN_COLUMNS))] = None
+        queries.append(row)
+    rows = draw(st.permutations(full + queries))
+    held = np.zeros((len(rows), SCHEMA.n_columns), dtype=bool)
+    for r, row in enumerate(rows):
+        if any(row is q for q in queries):
+            held[r] = [v is not None and draw(st.integers(0, 4)) == 0 for v in row]
+    k = draw(st.integers(1, len(rows) + 2))
+    return Table(SCHEMA, rows), Mask(held), k
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=knn_cases())
+def test_blocked_knn_matches_one_row_at_a_time(case):
+    table, mask, k = case
+    expected = knn_one_row_at_a_time(table, mask, k)
+    assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
