@@ -61,7 +61,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="parallel (method, seed) workers for eval/ablate; 1 keeps runs bitwise-serial",
+        help="parallel (method, seed) workers for eval/ablate; reruns at one value are "
+        "byte-identical, transformer scores may differ in the last digits between 1 and >1",
     )
 
 

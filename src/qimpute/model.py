@@ -8,6 +8,10 @@ per-column heads read the final token vectors. Numeric heads emit a scalar
 in normalized [0, 1] target space, categorical heads emit logits over the
 column vocabulary.
 
+The loss reads the final tokens at the supervised cells only, imputation at
+the masked cells only, so the last block's tail after attention runs at
+those query tokens alone, forward and backward.
+
 Everything is plain numpy in float64. ``loss_and_gradients`` returns exact
 analytic gradients for every tensor (including the optional trainable MLP
 embedder), which the test suite checks against central finite differences.
@@ -25,6 +29,7 @@ from .rng import INIT, substream
 from .tabular import ColumnKind, DatasetSchema
 
 LN_EPS = 1e-5
+ALL_ROWS = slice(None)  # a block's tail at every token: a view, no copy
 
 
 @dataclass(frozen=True)
@@ -276,12 +281,25 @@ def mlp_embed(
     return act @ tensors["mlp.w2"] + tensors["mlp.b2"], act
 
 
-def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, _Cache]:
-    """Run the token pipeline; returns final hidden states (B, C, d_model)."""
-    return _forward(params, batch, retain=True)
+def forward(params: ModelParams, batch: Batch, queries=ALL_ROWS) -> tuple[np.ndarray, _Cache]:
+    """Run the token pipeline; returns final hidden states (B, C, d_model).
+
+    With ``queries``, flat token indices row * C + column, the last block's
+    tail runs at those tokens only and the other tokens of the result are 0.
+    """
+    return _forward(params, batch, True, queries)
 
 
-def _forward(params: ModelParams, batch: Batch, retain: bool) -> tuple[np.ndarray, _Cache]:
+def _scatter_rows(x, keep, n):
+    """(n, d) matrix holding the rows of ``x`` at ``keep`` and zeros elsewhere."""
+    if keep is ALL_ROWS:
+        return x
+    out = np.zeros((n, x.shape[1]))
+    out[keep] = x
+    return out
+
+
+def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[np.ndarray, _Cache]:
     """The token pipeline; each block's intermediates are kept only if ``retain``."""
     cfg = params.config
     t = params.tensors
@@ -322,15 +340,18 @@ def _forward(params: ModelParams, batch: Batch, retain: bool) -> tuple[np.ndarra
     x = np.where(masked.reshape(b * c, 1), t["mask_emb"], projected)
     tokens = x.reshape(b, c, cfg.d_model)
     tokens += t["col_emb"]
+    store, keep = cache.blocks if retain else None, ALL_ROWS
     for i in range(cfg.n_blocks):
-        x = _block_forward(t, f"block{i}.", x, (b, c), cfg, cache.blocks if retain else None)
-    return x.reshape(b, c, cfg.d_model), cache
+        keep = queries if i == cfg.n_blocks - 1 else ALL_ROWS
+        x = _block_forward(t, f"block{i}.", x, (b, c), cfg, store, keep)
+    return _scatter_rows(x, keep, b * c).reshape(b, c, cfg.d_model), cache
 
 
-def _block_forward(t, p, x_in, shape, cfg, store):
+def _block_forward(t, p, x_in, shape, cfg, store, keep):
     """One pre-norm block on (N, d) tokens, N = B * C for ``shape`` (B, C).
 
-    Appends the block's intermediates to ``store`` unless it is None.
+    Attention runs over every token, the tail after it at the rows ``keep``
+    only. Appends the block's intermediates to ``store`` unless it is None.
     """
     b, c = shape
     n, d = x_in.shape
@@ -347,10 +368,13 @@ def _block_forward(t, p, x_in, shape, cfg, store):
     probs = _softmax(scores)
     z = np.empty((b, c, n_heads, d_head))
     np.matmul(probs, vh, out=z.transpose(0, 2, 1, 3))
-    z = z.reshape(n, d)
+    z = z.reshape(n, d)[keep]
+    if store is not None:
+        store.append(dict(y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh, probs=probs))
+    del y1, ln1_cache, qkv, qh, kh, vh, scores, probs  # inference frees them before the tail
     x_mid = z @ t[p + "attn.wo"]
     x_mid += t[p + "attn.bo"]
-    x_mid += x_in
+    x_mid += x_in[keep]
     y2, ln2_cache = _layer_norm_forward(x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"])
     f_act = y2 @ t[p + "ffn.w1"]
     f_act += t[p + "ffn.b1"]
@@ -359,12 +383,7 @@ def _block_forward(t, p, x_in, shape, cfg, store):
     x += x_mid
     x += t[p + "ffn.b2"]
     if store is not None:
-        store.append(
-            dict(
-                y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh,
-                probs=probs, z=z, y2=y2, ln2=ln2_cache, f_act=f_act,
-            )
-        )
+        store[-1].update(z=z, y2=y2, ln2=ln2_cache, f_act=f_act, keep=keep)
     return x
 
 
@@ -451,9 +470,15 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
     return breakdown, d_hidden, grads
 
 
+def _supervised_tokens(batch: Batch) -> np.ndarray:
+    """Ascending flat token indices (row * C + column) of the supervised cells."""
+    pos = np.concatenate((batch.numeric_pos, batch.categorical_pos))
+    return np.unique(pos[:, 0] * batch.token_masked.shape[1] + pos[:, 1])
+
+
 def loss_value(params: ModelParams, batch: Batch) -> LossBreakdown:
     """Forward pass plus supervised loss; no gradients."""
-    hidden, _ = _forward(params, batch, retain=False)
+    hidden, _ = _forward(params, batch, False, _supervised_tokens(batch))
     breakdown, _, _ = _loss_terms(params, batch, hidden)
     return breakdown
 
@@ -464,7 +489,7 @@ def loss_and_gradients(
     """Loss plus exact analytic gradients for every parameter tensor."""
     cfg = params.config
     t = params.tensors
-    hidden, cache = forward(params, batch)
+    hidden, cache = forward(params, batch, queries=_supervised_tokens(batch))
     breakdown, d_hidden, grads = _loss_terms(params, batch, hidden)
 
     d = cfg.d_model
@@ -475,6 +500,8 @@ def loss_and_gradients(
     for i in reversed(range(cfg.n_blocks)):
         p = f"block{i}."
         blk = cache.blocks[i]
+        keep = blk["keep"]
+        dx = dx[keep]  # the tail ran at these rows only; d_hidden is 0 elsewhere
         # feed-forward branch
         grads[p + "ffn.w2"] = _weight_grad(blk["f_act"], dx)
         grads[p + "ffn.b2"] = _column_sums(dx)
@@ -490,7 +517,8 @@ def loss_and_gradients(
         # attention branch
         grads[p + "attn.wo"] = _weight_grad(blk["z"], d_x_mid)
         grads[p + "attn.bo"] = _column_sums(d_x_mid)
-        d_z = (d_x_mid @ t[p + "attn.wo"].T).reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
+        d_z = _scatter_rows(d_x_mid @ t[p + "attn.wo"].T, keep, b * c)
+        d_z = d_z.reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
         probs = blk["probs"]
         d_scores = d_z @ blk["vh"].swapaxes(-1, -2)
         d_scores -= _row_sums(d_scores * probs)[..., None]
@@ -511,11 +539,12 @@ def loss_and_gradients(
         (
             grads[p + "attn.bq"], grads[p + "attn.bk"], grads[p + "attn.bv"]
         ) = np.split(_column_sums(d_qkv), 3)
+        grads[p + "attn.bk"] = np.zeros(d)  # softmax cancels q . bk: exactly 0, not noise
         d_ln1, grads[p + "ln1.scale"], grads[p + "ln1.offset"] = _layer_norm_backward(
             d_qkv @ blk["w_qkv"].T, t[p + "ln1.scale"], blk["ln1"]
         )
         dx = d_ln1
-        dx += d_x_mid
+        dx[keep] += d_x_mid
 
     # input stage
     gate = cache.proj_grad_gate.reshape(b * c, 1)
@@ -543,10 +572,8 @@ def predict_masked(params: ModelParams, batch: Batch):
     Returns {column: (batch rows, predictions)}; numeric predictions live
     in normalized target space, categorical predictions are logits.
     """
-    hidden, _ = _forward(params, batch, retain=False)
-    rows, cols = np.nonzero(batch.token_masked)
-    keep = np.array(
-        [params.columns[c].kind != ColumnKind.TEXT for c in cols], dtype=bool
-    )
-    positions = np.stack([rows[keep], cols[keep]], axis=1) if keep.any() else np.zeros((0, 2), int)
-    return head_outputs(params, hidden, positions)
+    text = [j for j, head in enumerate(params.columns) if head.kind == ColumnKind.TEXT]
+    masked = batch.token_masked
+    rows, cols = np.nonzero(masked & ~np.isin(np.arange(masked.shape[1]), text))
+    hidden, _ = _forward(params, batch, False, rows * masked.shape[1] + cols)
+    return head_outputs(params, hidden, np.stack([rows, cols], axis=1))

@@ -224,6 +224,18 @@ def test_threads_parallel_matches_sequential(tmp_path):
     ).read_bytes()
 
 
+def test_pooled_transformer_reruns_are_byte_identical(tmp_path):
+    # Transformer scores may differ in the last digits between threads = 1
+    # and threads > 1 (BLAS thread counts differ); reruns at one threads
+    # value may not.
+    config = fast_config(methods=("quantum_iqp",), threads=2)
+    run_experiment(config, out_dir=tmp_path / "a")
+    run_experiment(config, out_dir=tmp_path / "b")
+    assert (tmp_path / "a" / "report.json").read_bytes() == (
+        tmp_path / "b" / "report.json"
+    ).read_bytes()
+
+
 def test_pool_workers_start_with_one_blas_thread(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a count the caller chose is kept

@@ -6,7 +6,10 @@ h = 1e-5, compared entrywise at relative error 1e-4.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qimpute.model as model_module
 from qimpute.encoding import fit_preprocessor
 from qimpute.model import (
     Batch,
@@ -35,6 +38,7 @@ SCHEMA = DatasetSchema(
 )
 
 TINY = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, embed_dim=4, mlp_hidden=5)
+TINY2 = ModelConfig(d_model=8, n_blocks=2, n_heads=2, d_ff=16, embed_dim=4, mlp_hidden=5)
 
 
 def tiny_stats():
@@ -297,6 +301,17 @@ def test_gradients_match_finite_differences_mlp_embedder():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_gradients_match_finite_differences_two_blocks(mlp_d_in):
+    # The last block's query-row tail on top of a block that runs at every
+    # token; row 2 of tiny_batch has no query token.
+    rng = np.random.default_rng(16)
+    params = tiny_params(seed=16, mlp_d_in=mlp_d_in, config=TINY2)
+    batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+    assert 2 not in np.concatenate((batch.numeric_pos, batch.categorical_pos))[:, 0]
+    assert finite_difference_check(params, batch) < 1e-4
+
+
 def test_gradients_with_mixed_loss_weights():
     rng = np.random.default_rng(15)
     params = tiny_params(seed=15)
@@ -403,3 +418,90 @@ def test_predict_masked_equals_heads_on_caching_forward():
         for col in expected:
             assert np.array_equal(got[col][0], expected[col][0])
             assert np.array_equal(got[col][1], expected[col][1])
+
+
+# ---------------------------------------------------------------------------
+# the last block's tail at the query tokens
+# ---------------------------------------------------------------------------
+
+TEXT_SCHEMA = DatasetSchema(
+    SCHEMA.columns + (ColumnSpec("t", ColumnKind.TEXT),), name="tiny_text"
+)
+
+
+def reference_loss(params, batch):
+    """The supervised loss recomputed from the all-token ``forward``."""
+    hidden, _ = forward(params, batch)
+    w_numeric, w_categorical = batch.loss_weights
+    mse = ce = 0.0
+    for col, (_, preds) in head_outputs(params, hidden, batch.numeric_pos).items():
+        targets = batch.numeric_targets[batch.numeric_pos[:, 1] == col]
+        mse += float(((preds - targets) ** 2).sum())
+    for col, (_, logits) in head_outputs(params, hidden, batch.categorical_pos).items():
+        targets = batch.categorical_targets[batch.categorical_pos[:, 1] == col]
+        top = logits.max(axis=1)
+        log_z = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+        ce += float((log_z - logits[np.arange(len(targets)), targets]).sum())
+    kn, kc = len(batch.numeric_targets), len(batch.categorical_targets)
+    return w_numeric * (mse / kn if kn else 0.0) + w_categorical * (ce / kc if kc else 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    n_blocks=st.integers(0, 3),
+    n_rows=st.integers(1, 4),
+    supervision=st.sampled_from(["random", "none", "every non-text token"]),
+    with_mlp=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_loss_value_matches_all_token_forward(n_blocks, n_rows, supervision, with_mlp, seed):
+    rng = np.random.default_rng(seed)
+    table = Table(
+        TEXT_SCHEMA,
+        [[0.0, 1.0, "a", "x", "hi"], [1.0, 2.0, "b", "y", "bye"], [0.5, 3.0, "a", "z", "so"]],
+    )
+    config = ModelConfig(d_model=8, n_blocks=n_blocks, n_heads=2, d_ff=16, embed_dim=4)
+    params = init_params(
+        TEXT_SCHEMA, fit_preprocessor(table, TEXT_SCHEMA), config, seed=seed,
+        mlp_d_in=6 if with_mlp else 0,
+    )
+    scored = np.array([True, True, True, True, False])
+    sup = {
+        "random": (rng.random((n_rows, 5)) < 0.4) & scored,
+        "none": np.zeros((n_rows, 5), dtype=bool),
+        "every non-text token": np.tile(scored, (n_rows, 1)),
+    }[supervision]
+    token_masked = sup | (rng.random((n_rows, 5)) < 0.2)
+    features = rng.normal(size=(n_rows, 5, 6 if with_mlp else 4)) * ~token_masked[..., None]
+    rows, cols = np.nonzero(sup)
+    numeric = cols < 2
+    cat_cols = cols[~numeric]
+    batch = Batch(
+        token_masked=token_masked,
+        emb=None if with_mlp else features,
+        xc=features if with_mlp else None,
+        numeric_pos=np.stack([rows[numeric], cols[numeric]], axis=1),
+        numeric_targets=rng.random(int(numeric.sum())),
+        categorical_pos=np.stack([rows[~numeric], cat_cols], axis=1),
+        categorical_targets=rng.integers(0, np.where(cat_cols == 2, 2, 3)),
+        loss_weights=(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))),
+    )
+    got = loss_value(params, batch)
+    assert (got.n_numeric, got.n_categorical) == (int(numeric.sum()), len(cat_cols))
+    assert got.total == pytest.approx(reference_loss(params, batch), rel=0.0, abs=1e-12)
+    assert loss_and_gradients(params, batch)[0].total == got.total
+
+
+def test_loss_and_gradients_calls_forward_once_through_the_module(monkeypatch):
+    # perfbench times training forwards by wrapping qimpute.model.forward;
+    # a step that bypassed the module global would hide its forward time.
+    calls = []
+    original = model_module.forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", counting)
+    loss_and_gradients(tiny_params(seed=34), tiny_batch(np.random.default_rng(34)))
+    assert len(calls) == 1

@@ -169,6 +169,20 @@ def test_train_mlp_variant_updates_mlp_weights():
     assert not np.array_equal(result.params.tensors["mlp.w1"], fresh.tensors["mlp.w1"])
 
 
+def test_train_leaves_attention_key_bias_exactly_zero():
+    # q . bk shifts all scores of a query row alike, so its gradient is
+    # exactly zero and Adam never moves it from its zero init.
+    table, mask, stats, embedder = toy_setup(n_rows=40)
+    model = ModelConfig(d_model=16, n_blocks=2, n_heads=2, d_ff=32, embed_dim=4)
+    config = TrainConfig(epochs=2, batch_size=16, seed=6, learning_rate=1e-3)
+    tensors = train(table, mask, table.schema, stats, embedder, model, config).params.tensors
+    names = [name for name in tensors if name.endswith(".attn.bk")]
+    assert names == ["block0.attn.bk", "block1.attn.bk"]
+    for name in names:
+        assert np.all(tensors[name] == 0.0), name
+    assert np.any(tensors["block1.attn.bq"] != 0.0)
+
+
 def test_train_rejects_category_outside_fitted_vocabulary():
     schema = DatasetSchema(
         (ColumnSpec("v", ColumnKind.NUMERIC), ColumnSpec("g", ColumnKind.CATEGORICAL))
