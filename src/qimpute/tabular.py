@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CsvLoadError, QimputeError
+from .errors import ContractViolation, CsvLoadError, QimputeError
 from .rng import MASK, substream
 
 CellValue = float | str | None
@@ -307,23 +307,34 @@ def load_csv(path, schema: DatasetSchema) -> Table:
 def save_csv(table: Table, path) -> None:
     """Write the table; numeric cells carry 17 significant digits.
 
-    Round-trips exactly through :func:`load_csv` provided no text cell
-    equals the missing token.
+    Every table written round-trips exactly through :func:`load_csv`. A
+    present cell whose field would equal the missing token or be empty
+    would reload as missing, so it raises :class:`ContractViolation`
+    naming the (0-based) table row and the column, and nothing is written.
+    A record holding a carriage return is written with every field quoted:
+    the writer quotes only fields holding a comma, a quote or a newline.
     """
     schema = table.schema
+    records = [list(schema.names)]
+    for r, row in enumerate(table.rows):
+        record = []
+        for spec, v in zip(schema.columns, row):
+            if v is None:
+                record.append(schema.missing_token)
+                continue
+            text = format(v, ".17g") if spec.kind == ColumnKind.NUMERIC else v
+            if text == schema.missing_token or text == "":
+                raise ContractViolation(
+                    f"{path}: cell at row {r}, column {spec.name!r} is {text!r}, "
+                    f"which would load back as missing"
+                )
+            record.append(text)
+        records.append(record)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema.names)
-        for row in table.rows:
-            record = []
-            for j, v in enumerate(row):
-                if v is None:
-                    record.append(schema.missing_token)
-                elif schema.columns[j].kind == ColumnKind.NUMERIC:
-                    record.append(format(v, ".17g"))
-                else:
-                    record.append(v)
-            writer.writerow(record)
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for record in records:
+            (quote_all if any("\r" in text for text in record) else writer).writerow(record)
 
 
 def save_mask(mask: Mask, schema: DatasetSchema, path) -> None:

@@ -307,6 +307,15 @@ def test_ablation_three_variants_and_identical_masks():
         assert len(hashes) == 1
 
 
+def test_ablation_reports_each_seeds_independently_prepared_mask():
+    config = fast_config(seeds=(0, 3), n_rows=30)
+    report = ablation_suite(config)
+    expected = [prepare_split(config, seed).mask_hash for seed in config.seeds]
+    assert expected[0] != expected[1]
+    for result in report.results:
+        assert [s.mask_hash for s in result.per_seed] == expected, result.method
+
+
 # ---------------------------------------------------------------------------
 # embedding export
 # ---------------------------------------------------------------------------

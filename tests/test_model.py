@@ -505,3 +505,120 @@ def test_loss_and_gradients_calls_forward_once_through_the_module(monkeypatch):
     monkeypatch.setattr(model_module, "forward", counting)
     loss_and_gradients(tiny_params(seed=34), tiny_batch(np.random.default_rng(34)))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# rows without a query skip the blocks
+# ---------------------------------------------------------------------------
+
+
+def block_calls(monkeypatch):
+    """Record (shape, token count) of every ``_block_forward`` call."""
+    seen = []
+    original = model_module._block_forward
+
+    def guard(t, p, x_in, shape, cfg, store, keep):
+        seen.append((shape, x_in.shape[0]))
+        return original(t, p, x_in, shape, cfg, store, keep)
+
+    monkeypatch.setattr(model_module, "_block_forward", guard)
+    return seen
+
+
+def with_padding_rows(batch, rng, where):
+    """``batch`` with rows holding no supervised cell inserted before the
+    row indices ``where``; the supervision positions are renumbered."""
+    b, c = batch.token_masked.shape
+    original = np.insert(np.ones(b, dtype=bool), where, False)
+    token_masked = rng.random((original.size, c)) < 0.3
+    token_masked[original] = batch.token_masked
+
+    def pad(features):
+        if features is None:
+            return None
+        out = rng.normal(size=(original.size,) + features.shape[1:])
+        out *= ~token_masked[..., None]
+        out[original] = features
+        return out
+
+    renumber = np.flatnonzero(original)
+
+    def moved(pos):
+        return np.stack([renumber[pos[:, 0]], pos[:, 1]], axis=1)
+
+    return Batch(
+        token_masked=token_masked,
+        emb=pad(batch.emb),
+        xc=pad(batch.xc),
+        numeric_pos=moved(batch.numeric_pos),
+        numeric_targets=batch.numeric_targets,
+        categorical_pos=moved(batch.categorical_pos),
+        categorical_targets=batch.categorical_targets,
+        loss_weights=batch.loss_weights,
+    )
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_rows_without_supervision_change_no_loss_or_gradient(monkeypatch, mlp_d_in):
+    rng = np.random.default_rng(35)
+    params = tiny_params(seed=35, mlp_d_in=mlp_d_in, config=TINY2)
+    batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+    padded = with_padding_rows(batch, rng, [0, 1, 3, 3])
+    assert padded.n_rows == 7
+    seen = block_calls(monkeypatch)
+    breakdown, grads = loss_and_gradients(params, batch)
+    padded_breakdown, padded_grads = loss_and_gradients(params, padded)
+    # rows 0 and 1 of tiny_batch hold the targets: 2 rows x 4 tokens per block
+    assert seen == [((2, 4), 8)] * 4
+    assert padded_breakdown == breakdown
+    assert loss_value(params, padded) == loss_value(params, batch)
+    assert padded_grads.keys() == grads.keys()
+    for name, grad in grads.items():
+        assert np.allclose(padded_grads[name], grad, rtol=0.0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_batch_without_supervision_reaches_blocks_with_no_rows(monkeypatch, mlp_d_in):
+    rng = np.random.default_rng(36)
+    params = tiny_params(seed=36, mlp_d_in=mlp_d_in, config=TINY2)
+    full = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+    batch = Batch(token_masked=full.token_masked, emb=full.emb, xc=full.xc)
+    seen = block_calls(monkeypatch)
+    breakdown, grads = loss_and_gradients(params, batch)
+    assert seen == [((0, 4), 0)] * 2
+    assert breakdown.total == 0.0
+    assert grads.keys() == params.tensors.keys()
+    for name, grad in grads.items():
+        assert grad.shape == params.tensors[name].shape, name
+        assert not np.any(grad), name
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_predict_masked_skips_rows_without_a_masked_scored_cell(monkeypatch, mlp_d_in):
+    rng = np.random.default_rng(37)
+    table = Table(TEXT_SCHEMA, [[0.0, 1.0, "a", "x", "hi"], [1.0, 2.0, "b", "y", "so"]])
+    config = ModelConfig(d_model=8, n_blocks=2, n_heads=2, d_ff=16, embed_dim=4)
+    params = init_params(
+        TEXT_SCHEMA, fit_preprocessor(table, TEXT_SCHEMA), config, seed=37, mlp_d_in=mlp_d_in
+    )
+    token_masked = np.zeros((6, 5), dtype=bool)
+    token_masked[0, 4] = True  # text only: no query
+    token_masked[2, 0] = True
+    token_masked[3, [3, 4]] = True
+    token_masked[5, [1, 2]] = True
+    features = rng.normal(size=(6, 5, mlp_d_in or 4)) * ~token_masked[..., None]
+    batch = Batch(
+        token_masked=token_masked,
+        emb=None if mlp_d_in else features,
+        xc=features if mlp_d_in else None,
+    )
+    seen = block_calls(monkeypatch)
+    got = predict_masked(params, batch)
+    assert seen == [((3, 5), 15)] * 2  # rows 2, 3 and 5
+    hidden, _ = forward(params, batch)
+    rows, cols = np.nonzero(token_masked[:, :4])
+    expected = head_outputs(params, hidden, np.stack([rows, cols], axis=1))
+    assert got.keys() == expected.keys()
+    for col in expected:
+        assert np.array_equal(got[col][0], expected[col][0])
+        assert np.allclose(got[col][1], expected[col][1], rtol=0.0, atol=1e-12)

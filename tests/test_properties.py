@@ -1,5 +1,6 @@
 """Property tests: every imputer keeps observed cells and fills masked ones,
-and blocked k-NN matches its one-row-at-a-time reference.
+blocked k-NN matches its one-row-at-a-time reference, and tables survive a
+CSV save/load round trip.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
@@ -8,7 +9,7 @@ the suite stays reproducible.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qimpute import baselines
@@ -19,8 +20,18 @@ from qimpute.baselines import (
     mean_mode_impute,
 )
 from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
+from qimpute.errors import ContractViolation
 from qimpute.model import ModelConfig, init_params
-from qimpute.tabular import ColumnKind, ColumnSpec, DatasetSchema, Mask, Table, apply_mask
+from qimpute.tabular import (
+    ColumnKind,
+    ColumnSpec,
+    DatasetSchema,
+    Mask,
+    Table,
+    apply_mask,
+    load_csv,
+    save_csv,
+)
 from qimpute.training import impute_table
 
 SCHEMA = DatasetSchema(
@@ -195,3 +206,65 @@ def test_blocked_knn_matches_one_row_at_a_time(case):
     table, mask, k = case
     expected = knn_one_row_at_a_time(table, mask, k)
     assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# CSV save/load round trip
+# ---------------------------------------------------------------------------
+
+# Quotes, delimiters, line breaks (CR on its own too), tabs, NUL and
+# non-ASCII text, mixed with any other character.
+ADVERSARIAL_TEXT = st.text(
+    alphabet=st.sampled_from(list('",\n\r \t\x00aé€😀')) | st.characters(), max_size=8
+)
+MISSING_TOKENS = st.sampled_from(["", "NA", "?", '"', "a,b", "\r\n"])
+CSV_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table over SCHEMA with a random missing token; no present cell
+    reads as the token or as an empty field."""
+    token = draw(MISSING_TOKENS)
+    schema = DatasetSchema(SCHEMA.columns, missing_token=token, name="csv")
+    strings = ADVERSARIAL_TEXT.filter(lambda s: s not in ("", token))
+    cells = {
+        ColumnKind.NUMERIC: st.floats(allow_nan=False, allow_infinity=False),
+        ColumnKind.CATEGORICAL: strings,
+        ColumnKind.TEXT: strings,
+    }
+    rows = [
+        [draw(st.none() | cells[spec.kind]) for spec in schema.columns]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return Table(schema, rows)
+
+
+@CSV_SETTINGS
+@given(table=csv_tables())
+def test_csv_round_trip_is_exact(tmp_path, table):
+    path = tmp_path / "table.csv"
+    save_csv(table, path)
+    back = load_csv(path, table.schema)
+    assert [[repr(v) for v in row] for row in back.rows] == [
+        [repr(v) for v in row] for row in table.rows
+    ]
+
+
+@CSV_SETTINGS
+@given(table=csv_tables(), data=st.data())
+def test_csv_save_refuses_a_cell_that_would_load_as_missing(tmp_path, table, data):
+    rows = [list(row) for row in table.rows] or [[1.0, "a", "b", 2.0, "c"]]
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.sampled_from([1, 2, 4]))  # categorical and text columns
+    rows[r][c] = data.draw(st.sampled_from(["", table.schema.missing_token]))
+    path = tmp_path / f"refused{r}{c}.csv"
+    with pytest.raises(ContractViolation, match=f"row {r}, column '{SCHEMA.columns[c].name}'"):
+        save_csv(Table(table.schema, rows), path)
+    assert not path.exists()

@@ -7,6 +7,9 @@ pin the conventions (little-endian bits, Z-eigenvalue phases).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qimpute.quantum import (
     IqpParams,
@@ -293,6 +296,34 @@ def test_iqp_expectations_rows_independent_of_batch():
         one_layer = IqpParams(n, 1, singles[b : b + 1], pairs[b : b + 1])
         oracle = z_expectations(oracle_apply(one_layer)).values
         assert np.max(np.abs(together[b] - oracle)) < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    n_layers=st.integers(1, 3),
+    batch=st.integers(1, 3),
+)
+def test_closed_form_matches_dense_oracle(data, n, n_layers, batch):
+    # Per-layer angles summed into one batch row each; every row must match
+    # the L-layer dense circuit it came from.
+    angles = st.floats(-2 * np.pi, 2 * np.pi)
+    params = [
+        IqpParams(
+            n,
+            n_layers,
+            data.draw(arrays(np.float64, (n_layers, n), elements=angles)),
+            data.draw(arrays(np.float64, (n_layers, n_pair_angles(n)), elements=angles)),
+        )
+        for _ in range(batch)
+    ]
+    closed = iqp_expectations(
+        np.stack([p.singles.sum(axis=0) for p in params]),
+        np.stack([p.pairs.sum(axis=0) for p in params]),
+    )
+    for row, p in zip(closed, params):
+        assert np.max(np.abs(row - z_expectations(oracle_apply(p)).values)) < 1e-12
 
 
 def test_iqp_expectations_rejects_mismatched_pairs():

@@ -1,8 +1,11 @@
 """Tests for Adam, the training loop, imputation, and checkpoints."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import qimpute.model as model_module
 import qimpute.training as training_module
 from qimpute.datasets import make_toy_table
 from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
@@ -230,6 +233,73 @@ def test_masking_hygiene_missing_cells_never_supervised(monkeypatch):
             for br, col in np.vstack([batch.numeric_pos, batch.categorical_pos]):
                 assert not full_missing[rows[br], col]
     assert i == len(captured)
+
+
+def test_blocks_see_only_rows_with_a_query(monkeypatch):
+    # Training queries are the supervised cells, imputation queries the
+    # missing non-text cells; the blocks must never see any other row.
+    table, mask, stats, embedder = toy_setup(n_rows=50, rate=0.1)
+    n_cols = table.schema.n_columns
+    scored = np.array([spec.kind != ColumnKind.TEXT for spec in table.schema.columns])
+    steps = []  # (live rows, batch rows, block calls)
+
+    def expecting(step, live_rows):
+        def wrapped(params, batch):
+            steps.append((live_rows(batch), batch.n_rows, []))
+            return step(params, batch)
+
+        return wrapped
+
+    original_block = model_module._block_forward
+
+    def guard(t, p, x_in, shape, cfg, store, keep):
+        steps[-1][2].append((shape, x_in.shape[0]))
+        return original_block(t, p, x_in, shape, cfg, store, keep)
+
+    def supervised_rows(batch):
+        return np.unique(np.concatenate((batch.numeric_pos, batch.categorical_pos))[:, 0]).size
+
+    def rows_with_masked_scored_cell(batch):
+        return int((batch.token_masked & scored).any(axis=1).sum())
+
+    monkeypatch.setattr(model_module, "_block_forward", guard)
+    monkeypatch.setattr(
+        training_module,
+        "loss_and_gradients",
+        expecting(training_module.loss_and_gradients, supervised_rows),
+    )
+    monkeypatch.setattr(
+        training_module,
+        "predict_masked",
+        expecting(training_module.predict_masked, rows_with_masked_scored_cell),
+    )
+    model = ModelConfig(d_model=16, n_blocks=2, n_heads=2, d_ff=32, embed_dim=4)
+    config = TrainConfig(epochs=2, batch_size=16, seed=8, learning_rate=1e-3, mask_rate=0.05)
+    result = train(table, mask, table.schema, stats, embedder, model, config)
+    n_train = len(steps)
+    impute_table(table, mask, table.schema, stats, embedder, result.params, batch_rows=16)
+    assert n_train == 8 and len(steps) == 12
+    for live, _, blocks in steps:
+        assert blocks == [((live, n_cols), live * n_cols)] * 2
+    assert any(live < n_rows for live, n_rows, _ in steps[:n_train])
+    assert any(live < n_rows for live, n_rows, _ in steps[n_train:])
+
+
+def test_empty_batches_are_counted_warned_once_and_leave_params(caplog):
+    # At a vanishing mask rate no batch draws a target: every step reaches
+    # the blocks with zero rows, its loss is 0 and every gradient exactly 0,
+    # so Adam leaves the parameters at their init.
+    table, mask, stats, embedder = toy_setup(n_rows=40)
+    config = TrainConfig(epochs=3, batch_size=16, seed=2, learning_rate=1e-3, mask_rate=1e-12)
+    with caplog.at_level(logging.WARNING, logger="qimpute.training"):
+        result = train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
+    assert result.empty_batches == 9
+    assert result.loss_history == [0.0, 0.0, 0.0]
+    warnings = [r for r in caplog.records if "no supervision targets" in r.getMessage()]
+    assert len(warnings) == 1
+    fresh = init_params(table.schema, stats, SMALL_MODEL, seed=2)
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor, fresh.tensors[name]), name
 
 
 def test_training_diverged_error(monkeypatch):
