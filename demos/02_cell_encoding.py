@@ -62,7 +62,8 @@ for variant in (EmbedderVariant.QUANTUM_IQP, EmbedderVariant.RANDOM_PROJECTION):
         assert np.all(np.abs(vec) <= 1.0)  # Z expectations always in [-1, 1]
 
 # The trainable MLP variant has no fixed embedding: its perceptron weights
-# live in the model and train jointly, so here we only fetch its inputs.
+# live in the model and train jointly, so its embed_table returns the model
+# input, the classical vectors zero-padded to one width.
 mlp = CellEmbedder(schema, stats, EmbedderVariant.CLASSICAL_MLP, seed=7, n_qubits=4)
-features = mlp.classical_table(table)
+features = mlp.embed_table(table)
 print("\nclassical-MLP input tensor shape (rows, columns, padded width):", features.shape)

@@ -22,7 +22,6 @@ from .tabular import ColumnKind, Mask, Table, missing_mask
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str = "mean_mode"  # mean_mode | knn | iterative_ridge
     k: int = 5
     ridge_lambda: float = 1.0
     max_sweeps: int = 10

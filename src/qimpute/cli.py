@@ -60,9 +60,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="parallel (method, seed) workers for eval/ablate; reruns at one value are "
-        "byte-identical, transformer scores may differ in the last digits between 1 and >1",
+        "--threads", type=int,
+        help="parallel (method, seed) workers for eval/ablate; overrides the config file "
+        "(default 1); reruns at one value are byte-identical, transformer scores may "
+        "differ in the last digits between 1 and >1",
     )
 
 
@@ -128,13 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _experiment_config(args) -> ExperimentConfig:
     mapping = load_kv_config(args.config) if args.config else {}
     config = experiment_config_from_mapping(mapping)
-    if args.threads != 1:
+    if args.threads is not None:
         config = replace(config, threads=args.threads)
     return config
-
-
-def _load_experiment_overrides(args) -> dict[str, str]:
-    return load_kv_config(args.config) if args.config else {}
 
 
 def _cmd_datagen(args) -> int:
@@ -162,11 +159,9 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _train_configs(args, mapping) -> tuple[ModelConfig, TrainConfig, int, int, int]:
+def _train_configs(args) -> tuple[ModelConfig, TrainConfig, int, int, int]:
     """Merge config-file keys with CLI flags (flags win) for the train command."""
-    from .config import experiment_config_from_mapping
-
-    base = experiment_config_from_mapping(mapping)
+    base = _experiment_config(args)
     n_qubits = args.n_qubits if args.n_qubits is not None else base.n_qubits
     n_layers = args.n_layers if args.n_layers is not None else base.n_layers
     model = base.model
@@ -192,8 +187,7 @@ def _train_configs(args, mapping) -> tuple[ModelConfig, TrainConfig, int, int, i
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema)
-    mapping = _load_experiment_overrides(args)
-    model_config, train_config, n_qubits, n_layers, text_dim = _train_configs(args, mapping)
+    model_config, train_config, n_qubits, n_layers, text_dim = _train_configs(args)
     stats = fit_preprocessor(table, schema, text_dim=text_dim)
     variant = EmbedderVariant(args.variant)
     embedder = CellEmbedder(

@@ -15,7 +15,7 @@ embedding:
   straight to the embedding space, no nonlinearity.
 * ``CLASSICAL_MLP``: a small trainable perceptron whose weights live in
   the downstream model and train jointly; this module only supplies the
-  (zero-padded) classical vectors.
+  (zero-padded) classical vectors, through the same ``embed_table``.
 
 Missing cells are never encoded; attempting to is a contract violation.
 """
@@ -77,7 +77,6 @@ class NumericColumnStats:
 @dataclass
 class CategoricalColumnStats:
     vocabulary: tuple[str, ...]
-    unknown_seen: int = 0
 
     def codes(self, values) -> np.ndarray:
         """Vocabulary index of each value, compared as ``str``; -1 when unknown."""
@@ -272,8 +271,8 @@ def encode_column(
     ``raw_text`` holds, per cell, the text vector to scale in place of the
     hashed value (``CellEmbedder`` passes its precomputed overrides).
     Encoding a missing value is a contract violation, not a silent zero.
-    Each unknown category encoded counts once in ``stats.unknown_seen`` and
-    maps to the all-zeros vector.
+    Each unknown category encoded logs one warning and maps to the
+    all-zeros vector.
     """
     if any(v is None for v in values):
         raise ContractViolation(f"attempted to encode a missing cell in column {column!r}")
@@ -293,7 +292,6 @@ def encode_column(
         known = np.flatnonzero(codes >= 0)
         out[known, codes[known]] = np.pi
         for i in np.flatnonzero(codes < 0):
-            stats.unknown_seen += 1
             logger.warning(
                 "unknown category %r in column %r mapped to all-zeros", values[i], column
             )
@@ -381,8 +379,8 @@ class CellEmbedder:
     memoized per (column, value). They are computed one batch per column,
     and a cell's embedding does not depend on the batch it is computed in,
     so :meth:`embed` and :meth:`embed_table` agree bitwise whatever the
-    order of calls. The trainable MLP variant has no fixed
-    embedding; callers fetch padded classical vectors instead and the
+    order of calls. The trainable MLP variant has no fixed embedding: its
+    :meth:`embed_table` returns the padded classical vectors, and the
     perceptron weights live in the model.
     """
 
@@ -410,15 +408,22 @@ class CellEmbedder:
         self.text_embeddings = text_embeddings
         self._widths = [stats.feature_width(c.name) for c in schema.columns]
         self.d_in_max = max(self._widths)
-        self._angle_proj: dict[int, AngleProjection] = {}
-        self._rand_proj: dict[int, np.ndarray] = {}
-        for j, spec in enumerate(schema.columns):
-            width = self._widths[j]
-            self._angle_proj[j] = make_angle_projection(seed, width, n_qubits, j)
-            rng = substream(seed, EMBED, j)
-            self._rand_proj[j] = rng.uniform(
-                -1.0, 1.0, size=(width, self.embed_dim)
-            ) / np.sqrt(width)
+        # the model's MLP input width; 0 when the variant's embedding is fixed
+        self.mlp_d_in = self.d_in_max if variant == EmbedderVariant.CLASSICAL_MLP else 0
+        # One fixed (width, n_qubits) matrix per column, each from its own
+        # substream: to circuit angles (quantum) or to the embedding (random).
+        self._proj: list[np.ndarray] = []
+        if variant == EmbedderVariant.QUANTUM_IQP:
+            self._proj = [
+                make_angle_projection(seed, width, n_qubits, j).matrix
+                for j, width in enumerate(self._widths)
+            ]
+        elif variant == EmbedderVariant.RANDOM_PROJECTION:
+            self._proj = [
+                substream(seed, EMBED, j).uniform(-1.0, 1.0, size=(width, n_qubits))
+                / np.sqrt(width)
+                for j, width in enumerate(self._widths)
+            ]
         self._cache: dict[tuple[int, CellValue], np.ndarray] = {}
 
     def feature_width(self, col: int) -> int:
@@ -445,15 +450,25 @@ class CellEmbedder:
         return self._embed_column(col, [row], [value])[0]
 
     def embed_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
-        """(rows, columns, embed_dim) embeddings; zeros at missing/masked cells."""
+        """The model input: (rows, columns, width), zeros at missing/masked cells.
+
+        The width is ``embed_dim`` for the fixed variants, whose cells are
+        embedded here. The MLP variant's input is each cell's classical
+        vector zero-padded to ``mlp_d_in``; the model embeds it.
+        """
         observed = ~missing_mask(table).matrix
         if mask is not None:
             observed &= ~mask.matrix
-        out = np.zeros((table.n_rows, self.schema.n_columns, self.embed_dim))
+        out = np.zeros((table.n_rows, self.schema.n_columns, self.mlp_d_in or self.embed_dim))
         for c in range(self.schema.n_columns):
             rows = np.flatnonzero(observed[:, c]).tolist()
-            if rows:
-                out[rows, c] = self._embed_column(c, rows, [table.rows[r][c] for r in rows])
+            if not rows:
+                continue
+            values = [table.rows[r][c] for r in rows]
+            if self.mlp_d_in:
+                out[rows, c, : self._widths[c]] = self._encode(c, rows, values)
+            else:
+                out[rows, c] = self._embed_column(c, rows, values)
         return out
 
     def _embed_column(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
@@ -482,16 +497,16 @@ class CellEmbedder:
                 batch.append((r, v))
         if batch:
             x = self._encode(col, [r for r, _ in batch], [v for _, v in batch])
+            vectors = _project(x, self._proj[col])
             if self.variant == EmbedderVariant.QUANTUM_IQP:
-                # project_to_angles replicates one angle set over the layers,
-                # so the layer-summed angles are n_layers times that set.
-                angles = _project(x, self._angle_proj[col].matrix)
+                # The projection gives circuit angles. project_to_angles
+                # replicates one angle set over the layers, so the
+                # layer-summed angles are n_layers times that set.
+                angles = vectors
                 js, ks = np.triu_indices(self.n_qubits, k=1)
                 vectors = iqp_expectations(
                     self.n_layers * angles, self.n_layers * (angles[:, js] * angles[:, ks])
                 )
-            else:
-                vectors = _project(x, self._rand_proj[col])
             for v, slot in fresh.items():
                 self._cache[(col, v)] = vectors[slot]
         return np.stack(
@@ -500,16 +515,3 @@ class CellEmbedder:
                 for i, v in enumerate(values)
             ]
         )
-
-    def classical_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
-        """(rows, columns, d_in_max) zero-padded classical vectors for the MLP variant."""
-        observed = ~missing_mask(table).matrix
-        if mask is not None:
-            observed &= ~mask.matrix
-        out = np.zeros((table.n_rows, self.schema.n_columns, self.d_in_max))
-        for c in range(self.schema.n_columns):
-            rows = np.flatnonzero(observed[:, c]).tolist()
-            out[rows, c, : self._widths[c]] = self._encode(
-                c, rows, [table.rows[r][c] for r in rows]
-            )
-        return out

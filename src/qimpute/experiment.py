@@ -419,14 +419,13 @@ def export_embeddings(
     embedder = CellEmbedder(
         schema, stats, variant, seed=seed, n_qubits=n_qubits, n_layers=n_layers
     )
-    if variant == EmbedderVariant.CLASSICAL_MLP:
+    emb = embedder.embed_table(table)
+    if embedder.mlp_d_in:
         if params is None or not params.with_mlp:
             raise ConfigError(
                 "classical_mlp export needs trained model params holding mlp weights"
             )
-        emb, _ = mlp_embed(params.tensors, embedder.classical_table(table))
-    else:
-        emb = embedder.embed_table(table)
+        emb, _ = mlp_embed(params.tensors, emb)
     observed = ~missing_mask(table).matrix
     dim = embedder.embed_dim
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -159,16 +159,16 @@ def init_params(
 class Batch:
     """One training or inference batch of full rows.
 
-    ``emb`` holds per-cell embeddings with zeros at token-masked positions
-    (it may be None for the MLP variant, where embeddings are computed from
-    ``xc`` inside the forward pass). ``token_masked`` flags cells whose
-    token is the learned mask vector: genuinely missing cells plus any
-    supervision targets. Target arrays list supervision positions only.
+    ``features`` holds the model input per cell, zeros at token-masked
+    positions: cell embeddings for a fixed-embedding model, classical
+    vectors for one with the trainable MLP embedder. ``token_masked`` flags
+    cells whose token is the learned mask vector: genuinely missing cells
+    plus any supervision targets. Target arrays list supervision positions
+    only.
     """
 
     token_masked: np.ndarray  # (B, C) bool
-    emb: np.ndarray | None = None  # (B, C, embed_dim)
-    xc: np.ndarray | None = None  # (B, C, mlp_d_in)
+    features: np.ndarray  # (B, C, mlp_d_in or embed_dim)
     numeric_pos: np.ndarray | None = None  # (Kn, 2) ints [batch row, column]
     numeric_targets: np.ndarray | None = None  # (Kn,) normalized [0, 1]
     categorical_pos: np.ndarray | None = None  # (Kc, 2)
@@ -201,7 +201,7 @@ class LossBreakdown:
 class _Cache:
     """Forward intermediates needed by the analytic backward pass."""
 
-    __slots__ = ("live", "local", "emb", "mlp_act", "blocks", "proj_grad_gate")
+    __slots__ = ("live", "local", "inputs", "emb", "mlp_act", "blocks", "proj_grad_gate")
 
     def __init__(self):
         self.blocks = []
@@ -323,24 +323,14 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
     masked = batch.token_masked[live]
     n_live = masked.shape[0]
 
+    width = params.mlp_d_in or cfg.embed_dim
+    if batch.features.shape[2] != width:
+        raise ContractViolation(
+            f"batch feature width {batch.features.shape[2]} != model input width {width}"
+        )
+    emb = cache.inputs = batch.features[live]
     if params.with_mlp:
-        if batch.xc is None:
-            raise ContractViolation("MLP-embedder model needs batch.xc")
-        if batch.xc.shape[2] != params.mlp_d_in:
-            raise ContractViolation(
-                f"batch.xc feature width {batch.xc.shape[2]} != model mlp_d_in "
-                f"{params.mlp_d_in}"
-            )
-        emb, cache.mlp_act = mlp_embed(t, batch.xc[live])
-    else:
-        if batch.emb is None:
-            raise ContractViolation("fixed-embedding model needs batch.emb")
-        if batch.emb.shape[2] != cfg.embed_dim:
-            raise ContractViolation(
-                f"batch embedding width {batch.emb.shape[2]} != model embed_dim "
-                f"{cfg.embed_dim}"
-            )
-        emb = batch.emb[live]
+        emb, cache.mlp_act = mlp_embed(t, emb)
     cache.emb = emb
 
     # Tokens are kept as an (N, d_model) matrix, N = live rows * C, so
@@ -575,7 +565,7 @@ def loss_and_gradients(
         grads["mlp.b2"] = _column_sums(d_emb)
         d_pre = d_emb @ t["mlp.w2"].T
         d_pre *= 1.0 - cache.mlp_act.reshape(b * c, cfg.mlp_hidden) ** 2
-        grads["mlp.w1"] = _weight_grad(batch.xc[cache.live], d_pre)
+        grads["mlp.w1"] = _weight_grad(cache.inputs, d_pre)
         grads["mlp.b1"] = _column_sums(d_pre)
     for name in t:
         if name not in grads:

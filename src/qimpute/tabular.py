@@ -97,12 +97,6 @@ class Table:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def cell(self, row: int, col: int) -> CellValue:
-        return self.rows[row][col]
-
-    def column(self, col: int) -> list[CellValue]:
-        return [row[col] for row in self.rows]
-
     def copy(self) -> "Table":
         return Table(self.schema, [list(row) for row in self.rows])
 

@@ -180,15 +180,10 @@ def train(
     is_numeric[list(schema.indices_of(ColumnKind.NUMERIC))] = True
 
     num_targets, cat_targets = _targets(table, observed, schema, stats)
-    use_mlp = embedder.variant == EmbedderVariant.CLASSICAL_MLP
-    if use_mlp:
-        features = embedder.classical_table(table, mask)
-        mlp_d_in = embedder.d_in_max
-    else:
-        features = embedder.embed_table(table, mask)
-        mlp_d_in = 0
-
-    params = init_params(schema, stats, model_config, seed=config.seed, mlp_d_in=mlp_d_in)
+    features = embedder.embed_table(table, mask)
+    params = init_params(
+        schema, stats, model_config, seed=config.seed, mlp_d_in=embedder.mlp_d_in
+    )
     adam = AdamState.for_params(params)
     rng_shuffle = substream(config.seed, SHUFFLE)
     rng_sup = substream(config.seed, SUPERVISION)
@@ -202,8 +197,7 @@ def train(
             rows = order[start : start + config.batch_size]
             sup = (rng_sup.random((rows.size, n_cols)) < config.mask_rate) & eligible[rows]
             batch = _assemble_batch(
-                rows, sup, observed, features, num_targets, cat_targets,
-                is_numeric, use_mlp, config,
+                rows, sup, observed, features, num_targets, cat_targets, is_numeric, config
             )
             if batch.numeric_pos.shape[0] == 0 and batch.categorical_pos.shape[0] == 0:
                 empty_batches += 1
@@ -223,10 +217,9 @@ def train(
 
 
 def _assemble_batch(
-    rows, sup, observed, features, num_targets, cat_targets, is_numeric, use_mlp, config
+    rows, sup, observed, features, num_targets, cat_targets, is_numeric, config
 ) -> Batch:
     token_masked = ~observed[rows] | sup
-    feat = features[rows] * ~token_masked[..., None]
     sup_r, sup_c = np.nonzero(sup)
     numeric_sel = is_numeric[sup_c]
     numeric_pos = np.stack([sup_r[numeric_sel], sup_c[numeric_sel]], axis=1)
@@ -234,8 +227,7 @@ def _assemble_batch(
     batch_rows = rows  # global row ids for target lookup
     return Batch(
         token_masked=token_masked,
-        emb=None if use_mlp else feat,
-        xc=feat if use_mlp else None,
+        features=features[rows] * ~token_masked[..., None],
         numeric_pos=numeric_pos,
         numeric_targets=num_targets[batch_rows[numeric_pos[:, 0]], numeric_pos[:, 1]],
         categorical_pos=cat_pos,
@@ -261,20 +253,12 @@ def impute_table(
     unchanged; missing text cells stay missing.
     """
     observed = ~(missing_mask(table).matrix | mask.matrix)
-    use_mlp = embedder.variant == EmbedderVariant.CLASSICAL_MLP
-    features = (
-        embedder.classical_table(table, mask) if use_mlp else embedder.embed_table(table, mask)
-    )
+    # embed_table zeroes every cell that is not observed: no masking needed
+    features = embedder.embed_table(table, mask)
     out = table.copy()
     for start in range(0, table.n_rows, batch_rows):
         rows = np.arange(start, min(start + batch_rows, table.n_rows))
-        token_masked = ~observed[rows]
-        feat = features[rows] * ~token_masked[..., None]
-        batch = Batch(
-            token_masked=token_masked,
-            emb=None if use_mlp else feat,
-            xc=feat if use_mlp else None,
-        )
+        batch = Batch(token_masked=~observed[rows], features=features[rows])
         preds = predict_masked(params, batch)
         for col, (batch_row_idx, values) in preds.items():
             spec = schema.columns[col]

@@ -139,7 +139,7 @@ def test_criterion_04_gradients_match_finite_differences():
     xc[token_masked] = 0.0
     batch = Batch(
         token_masked=token_masked,
-        xc=xc,
+        features=xc,
         numeric_pos=np.array([[0, 0]]),
         numeric_targets=np.array([0.6]),
         categorical_pos=np.array([[1, 2]]),
@@ -257,7 +257,7 @@ def test_criterion_07_baseline_hand_values():
     out = iterative_ridge_impute(
         ridge_table,
         Mask(np.zeros((100, 2), dtype=bool)),
-        BaselineConfig(method="iterative_ridge", ridge_lambda=1e-6),
+        BaselineConfig(ridge_lambda=1e-6),
     )
     ridge_err = abs(out.rows[30][1] - 2.0 * xs[30])
     assert ridge_err < 1e-6

@@ -197,7 +197,7 @@ def test_ridge_recovers_collinear_relation():
     rows = [[float(x), float(2.0 * x)] for x in xs]
     rows[30][1] = None
     table = Table(TWO_NUM, rows)
-    config = BaselineConfig(method="iterative_ridge", ridge_lambda=1e-6)
+    config = BaselineConfig(ridge_lambda=1e-6)
     out = iterative_ridge_impute(table, no_extra_mask(table), config)
     assert out.rows[30][1] == pytest.approx(2.0 * xs[30], abs=1e-6)
 
@@ -207,7 +207,7 @@ def test_ridge_uninformative_predictors_fall_back_to_mean():
         (ColumnSpec("k", ColumnKind.NUMERIC), ColumnSpec("y", ColumnKind.NUMERIC))
     )
     table = Table(schema, [[5.0, 1.0], [5.0, 2.0], [5.0, 6.0], [5.0, None]])
-    config = BaselineConfig(method="iterative_ridge")
+    config = BaselineConfig()
     out = iterative_ridge_impute(table, no_extra_mask(table), config)
     assert out.rows[3][1] == pytest.approx(3.0, abs=1e-12)
 
@@ -219,7 +219,7 @@ def test_ridge_converges_and_records_changes():
     for r in (5, 20, 40):
         rows[r][1] = None
     table = Table(TWO_NUM, rows)
-    config = BaselineConfig(method="iterative_ridge", ridge_lambda=1e-6)
+    config = BaselineConfig(ridge_lambda=1e-6)
     _, changes, converged = iterative_ridge_with_trace(table, no_extra_mask(table), config)
     assert converged
     assert len(changes) <= 10
@@ -236,7 +236,7 @@ def test_ridge_uses_categorical_predictors():
         rows.append([g, 1.0 if g == "a" else 5.0])
     rows[10][1] = None  # g == "a" there
     table = Table(schema, rows)
-    config = BaselineConfig(method="iterative_ridge", ridge_lambda=1e-6)
+    config = BaselineConfig(ridge_lambda=1e-6)
     out = iterative_ridge_impute(table, no_extra_mask(table), config)
     assert out.rows[10][1] == pytest.approx(1.0, abs=1e-3)
 
@@ -252,7 +252,7 @@ def test_ridge_categorical_target():
     rows[3][1] = None   # x small -> lo
     rows[36][1] = None  # x large -> hi
     table = Table(schema, rows)
-    config = BaselineConfig(method="iterative_ridge", ridge_lambda=1e-3)
+    config = BaselineConfig(ridge_lambda=1e-3)
     out = iterative_ridge_impute(table, no_extra_mask(table), config)
     assert out.rows[3][1] == "lo"
     assert out.rows[36][1] == "hi"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qimpute.cli import main
+from qimpute.cli import _experiment_config, build_parser, main
 from qimpute.config import experiment_config_from_mapping, load_kv_config
 from qimpute.errors import ConfigError
 
@@ -66,6 +66,20 @@ def test_config_builds_experiment():
 def test_config_bad_value():
     with pytest.raises(ConfigError, match="integer"):
         experiment_config_from_mapping({"dataset.rows": "many"})
+
+
+@pytest.mark.parametrize(
+    "in_file,flag,expected", [(None, None, 1), (None, "3", 3), ("2", None, 2), ("2", "1", 1)]
+)
+def test_threads_flag_wins_over_config_file(tmp_path, in_file, flag, expected):
+    argv = ["eval"]
+    if in_file is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"threads = {in_file}\n")
+        argv += ["--config", str(cfg)]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert _experiment_config(build_parser().parse_args(argv)).threads == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for preprocessing, classical encoding, and the embedding variants."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qimpute.encoding import (
 )
 from qimpute.errors import ConfigError, ContractViolation, FitError, QimputeError
 from qimpute.quantum import oracle_apply, z_expectations
+from qimpute.rng import EMBED, substream
 from qimpute.tabular import ColumnKind, ColumnSpec, DatasetSchema, Mask, Table
 
 SCHEMA = DatasetSchema(
@@ -109,11 +112,16 @@ def test_categorical_one_hot():
     assert np.array_equal(vec, np.array([0.0, np.pi, 0.0]))
 
 
-def test_unknown_category_zero_vector_and_counter():
+def unknown_category_warnings(caplog) -> int:
+    return sum("unknown category" in r.getMessage() for r in caplog.records)
+
+
+def test_unknown_category_zero_vector_and_counter(caplog):
     stats = CategoricalColumnStats(vocabulary=("a", "b"))
-    vec = encode_column(["zzz"], ColumnKind.CATEGORICAL, stats)[0]
+    with caplog.at_level(logging.WARNING, logger="qimpute.encoding"):
+        vec = encode_column(["zzz"], ColumnKind.CATEGORICAL, stats)[0]
     assert np.array_equal(vec, np.zeros(2))
-    assert stats.unknown_seen == 1
+    assert unknown_category_warnings(caplog) == 1
 
 
 def test_encoding_missing_cell_is_contract_violation():
@@ -245,7 +253,9 @@ def test_quantum_embedding_bounds():
 def test_random_projection_matches_hand_matmul():
     table, emb = make_embedder(EmbedderVariant.RANDOM_PROJECTION)
     x_c = emb.classical_vector(0, 1, "a")
-    expected = x_c @ emb._rand_proj[1]
+    width = x_c.size
+    matrix = substream(3, EMBED, 1).uniform(-1.0, 1.0, size=(width, 4)) / np.sqrt(width)
+    expected = x_c @ matrix
     assert np.array_equal(emb.embed(0, 1, "a"), expected)
 
 
@@ -311,25 +321,28 @@ def test_embed_table_matches_per_cell_oracle():
             assert np.max(np.abs(out[r, c] - reference)) < 1e-12
 
 
-def test_embed_table_counts_each_unseen_category_once():
-    # One count per distinct (column, value) encoded: "zzz" and "yyy", with
+def test_embed_table_counts_each_unseen_category_once(caplog):
+    # One warning per distinct (column, value) encoded: "zzz" and "yyy", with
     # the repeated "zzz" and a second call served from the memo.
     _, emb = make_embedder(EmbedderVariant.QUANTUM_IQP)
     table = make_unseen_table()
-    emb.embed_table(table)
-    emb.embed_table(table)
-    assert emb.stats.for_column("grade").unknown_seen == 2
+    with caplog.at_level(logging.WARNING, logger="qimpute.encoding"):
+        emb.embed_table(table)
+        emb.embed_table(table)
+    assert unknown_category_warnings(caplog) == 2
 
 
-def test_classical_table_matches_classical_vector():
-    # Every unmasked observed cell is counted once per unknown category,
-    # repeats included: row 0 and row 2 both hold "zzz", row 3's "yyy" is held out.
+def test_classical_table_matches_classical_vector(caplog):
+    # The MLP variant's embed_table is the padded classical vectors. Every
+    # unmasked observed cell warns once per unknown category, repeats
+    # included: row 0 and row 2 both hold "zzz", row 3's "yyy" is held out.
     _, emb = make_embedder(EmbedderVariant.CLASSICAL_MLP)
     table = make_unseen_table()
     held = np.zeros((5, 3), dtype=bool)
     held[1, 0] = held[3, 1] = held[4, 2] = True
-    out = emb.classical_table(table, Mask(held))
-    assert emb.stats.for_column("grade").unknown_seen == 2
+    with caplog.at_level(logging.WARNING, logger="qimpute.encoding"):
+        out = emb.embed_table(table, Mask(held))
+    assert unknown_category_warnings(caplog) == 2
     for r, row in enumerate(table.rows):
         for c, value in enumerate(row):
             if value is None or held[r, c]:
@@ -366,7 +379,7 @@ def test_embedder_rejects_empty_circuit(n_qubits, n_layers):
 
 def test_classical_table_padding():
     table, emb = make_embedder(EmbedderVariant.CLASSICAL_MLP)
-    out = emb.classical_table(table)
+    out = emb.embed_table(table)
     assert out.shape == (4, 3, emb.d_in_max)
     assert emb.d_in_max == 16  # text dimension dominates
     # numeric column occupies slot 0 only
@@ -425,9 +438,8 @@ def test_text_override_of_wrong_width_names_cell(variant):
     stats = fit_preprocessor(table, SCHEMA)  # hashed text, dim 16
     overrides = TextEmbeddings(dim=2, vectors={(1, "note"): np.array([0.5, 0.5])})
     emb = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, text_embeddings=overrides)
-    build = emb.classical_table if variant == EmbedderVariant.CLASSICAL_MLP else emb.embed_table
     with pytest.raises(QimputeError, match=r"\(row 1, 'note'\) has shape \(2,\), expected \(16,\)"):
-        build(table)
+        emb.embed_table(table)
 
 
 def test_load_text_embeddings_bad_header(tmp_path):

@@ -385,7 +385,7 @@ def test_export_classical_mlp_cell_matches_forward(tmp_path):
         seed=0, label_column="diagnosis", path=path, mode="cell", n_qubits=4,
         params=params,
     )
-    batch = Batch(token_masked=~observed, xc=embedder.classical_table(table))
+    batch = Batch(token_masked=~observed, features=embedder.embed_table(table))
     _, cache = forward(params, batch)
     lines = path.read_text().strip().split("\n")[1:]
     cells = [(r, c) for r in range(table.n_rows) for c in np.flatnonzero(observed[r])]

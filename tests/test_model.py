@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qimpute.model as model_module
 from qimpute.encoding import fit_preprocessor
+from qimpute.errors import ContractViolation
 from qimpute.model import (
     Batch,
     ModelConfig,
@@ -57,28 +58,24 @@ def tiny_params(seed=0, mlp_d_in=0, config=TINY):
     return init_params(SCHEMA, tiny_stats(), config, seed=seed, mlp_d_in=mlp_d_in)
 
 
-def tiny_batch(rng, with_xc=False, mlp_d_in=6):
+def tiny_batch(rng, with_mlp=False, mlp_d_in=6):
     b, c = 3, 4
     token_masked = np.zeros((b, c), dtype=bool)
     token_masked[0, 0] = True  # supervision target (numeric)
     token_masked[1, 2] = True  # supervision target (categorical)
     token_masked[2, 3] = True  # genuinely missing, not a target
-    emb = rng.normal(size=(b, c, TINY.embed_dim))
-    emb[token_masked] = 0.0
-    batch = Batch(
+    features = rng.normal(size=(b, c, TINY.embed_dim))
+    if with_mlp:  # classical vectors, drawn after the embeddings
+        features = rng.normal(size=(b, c, mlp_d_in))
+    features[token_masked] = 0.0
+    return Batch(
         token_masked=token_masked,
-        emb=None if with_xc else emb,
-        xc=None,
+        features=features,
         numeric_pos=np.array([[0, 0]]),
         numeric_targets=np.array([0.6]),
         categorical_pos=np.array([[1, 2]]),
         categorical_targets=np.array([1]),
     )
-    if with_xc:
-        xc = rng.normal(size=(b, c, mlp_d_in))
-        xc[token_masked] = 0.0
-        batch.xc = xc
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +97,25 @@ def test_no_supervision_targets_empty_loss():
     rng = np.random.default_rng(2)
     params = tiny_params()
     emb = rng.normal(size=(1, 4, TINY.embed_dim))
-    batch = Batch(token_masked=np.zeros((1, 4), dtype=bool), emb=emb)
+    batch = Batch(token_masked=np.zeros((1, 4), dtype=bool), features=emb)
     breakdown = loss_value(params, batch)
     assert breakdown.total == 0.0
     assert breakdown.n_numeric == 0 and breakdown.n_categorical == 0
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_batch_of_the_wrong_input_width_is_a_contract_violation(mlp_d_in):
+    # The input width is mlp_d_in for an MLP model, embed_dim otherwise.
+    params = tiny_params(mlp_d_in=mlp_d_in)
+    width = mlp_d_in or TINY.embed_dim
+    for wrong in {width - 1, width + 1, 6 if width == TINY.embed_dim else TINY.embed_dim}:
+        batch = Batch(
+            token_masked=np.zeros((1, 4), dtype=bool), features=np.zeros((1, 4, wrong))
+        )
+        with pytest.raises(ContractViolation, match=f"width {wrong} != model input width {width}"):
+            forward(params, batch)
+    right = Batch(token_masked=np.zeros((1, 4), dtype=bool), features=np.zeros((1, 4, width)))
+    assert forward(params, right)[0].shape == (1, 4, TINY.d_model)
 
 
 def test_hand_forward_with_zeroed_blocks():
@@ -123,7 +135,7 @@ def test_hand_forward_with_zeroed_blocks():
 
     emb = np.zeros((1, 4, 2))
     emb[0, 0] = [0.5, 1.5]
-    batch = Batch(token_masked=np.zeros((1, 4), dtype=bool), emb=emb)
+    batch = Batch(token_masked=np.zeros((1, 4), dtype=bool), features=emb)
     hidden, _ = forward(params, batch)
     preds = head_outputs(params, hidden, np.array([[0, 0]]))
     token = np.array([0.5 + 0.25, 1.5 - 0.5])
@@ -150,7 +162,7 @@ def test_row_permutation_consistency():
     perm = np.array([2, 0, 1])
     permuted = Batch(
         token_masked=batch.token_masked[perm],
-        emb=batch.emb[perm],
+        features=batch.features[perm],
     )
     hidden_p, _ = forward(params, permuted)
     assert np.allclose(hidden_p, hidden[perm], atol=1e-12)
@@ -163,7 +175,7 @@ def test_column_embedding_symmetry():
     params = init_params(SCHEMA, tiny_stats(), config, seed=6)
     batch = Batch(
         token_masked=np.array([[True, True, False, False]]),
-        emb=np.zeros((1, 4, 4)),
+        features=np.zeros((1, 4, 4)),
     )
     hidden, _ = forward(params, batch)
     preds = head_outputs(params, hidden, np.array([[0, 0], [0, 1]]))
@@ -191,7 +203,7 @@ def test_loss_numeric_squared_error():
     params.tensors["head.num.n1.b"] = np.array(0.5)
     batch = Batch(
         token_masked=np.array([[True, False, False, False]]),
-        emb=np.zeros((1, 4, TINY.embed_dim)),
+        features=np.zeros((1, 4, TINY.embed_dim)),
         numeric_pos=np.array([[0, 0]]),
         numeric_targets=np.array([0.7]),
     )
@@ -206,7 +218,7 @@ def test_loss_uniform_binary_logits_is_ln2():
         params.tensors[name] = np.zeros_like(tensor)
     batch = Batch(
         token_masked=np.array([[False, False, True, False]]),
-        emb=np.zeros((1, 4, TINY.embed_dim)),
+        features=np.zeros((1, 4, TINY.embed_dim)),
         categorical_pos=np.array([[0, 2]]),
         categorical_targets=np.array([0]),
     )
@@ -221,7 +233,7 @@ def test_exact_fit_mse_zero_and_gradients_zero():
     params.tensors["head.num.n1.b"] = np.array(0.6)
     batch = Batch(
         token_masked=np.array([[True, False, False, False]]),
-        emb=np.zeros((1, 4, TINY.embed_dim)),
+        features=np.zeros((1, 4, TINY.embed_dim)),
         numeric_pos=np.array([[0, 0]]),
         numeric_targets=np.array([0.6]),
     )
@@ -296,7 +308,7 @@ def test_gradients_match_finite_differences_fixed_embeddings():
 def test_gradients_match_finite_differences_mlp_embedder():
     rng = np.random.default_rng(14)
     params = tiny_params(seed=14, mlp_d_in=6)
-    batch = tiny_batch(rng, with_xc=True, mlp_d_in=6)
+    batch = tiny_batch(rng, with_mlp=True, mlp_d_in=6)
     worst = finite_difference_check(params, batch)
     assert worst < 1e-4
 
@@ -307,7 +319,7 @@ def test_gradients_match_finite_differences_two_blocks(mlp_d_in):
     # token; row 2 of tiny_batch has no query token.
     rng = np.random.default_rng(16)
     params = tiny_params(seed=16, mlp_d_in=mlp_d_in, config=TINY2)
-    batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+    batch = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
     assert 2 not in np.concatenate((batch.numeric_pos, batch.categorical_pos))[:, 0]
     assert finite_difference_check(params, batch) < 1e-4
 
@@ -362,7 +374,7 @@ def test_predict_masked_excludes_text():
     params = init_params(schema, stats, config, seed=1)
     batch = Batch(
         token_masked=np.array([[True, True], [False, True]]),
-        emb=np.zeros((2, 2, 4)),
+        features=np.zeros((2, 2, 4)),
     )
     preds = predict_masked(params, batch)
     assert set(preds.keys()) == {0}
@@ -408,7 +420,7 @@ def test_predict_masked_equals_heads_on_caching_forward():
     rng = np.random.default_rng(33)
     for mlp_d_in in (0, 6):
         params = tiny_params(seed=33, mlp_d_in=mlp_d_in)
-        batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+        batch = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
         hidden, cache = forward(params, batch)
         assert len(cache.blocks) == TINY.n_blocks
         rows, cols = np.nonzero(batch.token_masked)
@@ -478,8 +490,7 @@ def test_loss_value_matches_all_token_forward(n_blocks, n_rows, supervision, wit
     cat_cols = cols[~numeric]
     batch = Batch(
         token_masked=token_masked,
-        emb=None if with_mlp else features,
-        xc=features if with_mlp else None,
+        features=features,
         numeric_pos=np.stack([rows[numeric], cols[numeric]], axis=1),
         numeric_targets=rng.random(int(numeric.sum())),
         categorical_pos=np.stack([rows[~numeric], cat_cols], axis=1),
@@ -534,8 +545,6 @@ def with_padding_rows(batch, rng, where):
     token_masked[original] = batch.token_masked
 
     def pad(features):
-        if features is None:
-            return None
         out = rng.normal(size=(original.size,) + features.shape[1:])
         out *= ~token_masked[..., None]
         out[original] = features
@@ -548,8 +557,7 @@ def with_padding_rows(batch, rng, where):
 
     return Batch(
         token_masked=token_masked,
-        emb=pad(batch.emb),
-        xc=pad(batch.xc),
+        features=pad(batch.features),
         numeric_pos=moved(batch.numeric_pos),
         numeric_targets=batch.numeric_targets,
         categorical_pos=moved(batch.categorical_pos),
@@ -562,7 +570,7 @@ def with_padding_rows(batch, rng, where):
 def test_rows_without_supervision_change_no_loss_or_gradient(monkeypatch, mlp_d_in):
     rng = np.random.default_rng(35)
     params = tiny_params(seed=35, mlp_d_in=mlp_d_in, config=TINY2)
-    batch = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
+    batch = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
     padded = with_padding_rows(batch, rng, [0, 1, 3, 3])
     assert padded.n_rows == 7
     seen = block_calls(monkeypatch)
@@ -581,8 +589,8 @@ def test_rows_without_supervision_change_no_loss_or_gradient(monkeypatch, mlp_d_
 def test_batch_without_supervision_reaches_blocks_with_no_rows(monkeypatch, mlp_d_in):
     rng = np.random.default_rng(36)
     params = tiny_params(seed=36, mlp_d_in=mlp_d_in, config=TINY2)
-    full = tiny_batch(rng, with_xc=mlp_d_in > 0, mlp_d_in=6)
-    batch = Batch(token_masked=full.token_masked, emb=full.emb, xc=full.xc)
+    full = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
+    batch = Batch(token_masked=full.token_masked, features=full.features)
     seen = block_calls(monkeypatch)
     breakdown, grads = loss_and_gradients(params, batch)
     assert seen == [((0, 4), 0)] * 2
@@ -607,11 +615,7 @@ def test_predict_masked_skips_rows_without_a_masked_scored_cell(monkeypatch, mlp
     token_masked[3, [3, 4]] = True
     token_masked[5, [1, 2]] = True
     features = rng.normal(size=(6, 5, mlp_d_in or 4)) * ~token_masked[..., None]
-    batch = Batch(
-        token_masked=token_masked,
-        emb=None if mlp_d_in else features,
-        xc=features if mlp_d_in else None,
-    )
+    batch = Batch(token_masked=token_masked, features=features)
     seen = block_calls(monkeypatch)
     got = predict_masked(params, batch)
     assert seen == [((3, 5), 15)] * 2  # rows 2, 3 and 5

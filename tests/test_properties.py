@@ -1,6 +1,6 @@
 """Property tests: every imputer keeps observed cells and fills masked ones,
-blocked k-NN matches its one-row-at-a-time reference, and tables survive a
-CSV save/load round trip.
+blocked k-NN matches its one-row-at-a-time reference, tables survive a
+CSV save/load round trip, and ``Mask.union`` keeps its algebra.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qimpute import baselines
 from qimpute.baselines import (
@@ -27,6 +28,7 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
+    MaskProvenance,
     Table,
     apply_mask,
     load_csv,
@@ -112,8 +114,7 @@ def test_impute_table_keeps_observed_and_fills_masked(case, variant):
     before = [list(row) for row in table.rows]
     stats = fit_preprocessor(apply_mask(table, mask), SCHEMA, text_dim=4)
     embedder = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
-    mlp_d_in = embedder.d_in_max if variant == EmbedderVariant.CLASSICAL_MLP else 0
-    params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=mlp_d_in)
+    params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
     out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=3)
     check_imputation(table, mask, before, out)
 
@@ -268,3 +269,52 @@ def test_csv_save_refuses_a_cell_that_would_load_as_missing(tmp_path, table, dat
     with pytest.raises(ContractViolation, match=f"row {r}, column '{SCHEMA.columns[c].name}'"):
         save_csv(Table(table.schema, rows), path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Mask.union
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mask_lists(draw):
+    """One to four masks of one shape; half the time they share a provenance."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 4))
+    provenances = st.sampled_from(list(MaskProvenance))
+    shared = draw(provenances) if draw(st.booleans()) else None
+    return [
+        Mask(draw(arrays(bool, shape)), shared or draw(provenances)) for _ in range(n)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(masks=mask_lists(), data=st.data())
+def test_mask_union_algebra(masks, data):
+    before = [m.matrix.copy() for m in masks]
+    union = Mask.union(*masks)
+    assert np.array_equal(union.matrix, np.logical_or.reduce(before))
+    assert all(np.array_equal(m.matrix, b) for m, b in zip(masks, before)), "input mutated"
+    # commutative: every order gives the same mask
+    shuffled = Mask.union(*data.draw(st.permutations(masks)))
+    assert np.array_equal(shuffled.matrix, union.matrix)
+    assert shuffled.provenance == union.provenance
+    # idempotent: a mask united with itself is itself
+    for m in masks:
+        again = Mask.union(m, m)
+        assert np.array_equal(again.matrix, m.matrix) and again.provenance == m.provenance
+    # one shared provenance is kept; mixed provenances give MIXED
+    if all(m.provenance == masks[0].provenance for m in masks):
+        assert union.provenance == masks[0].provenance
+    else:
+        assert union.provenance == MaskProvenance.MIXED
+
+
+@PROPERTY_SETTINGS
+@given(masks=mask_lists(), grow=st.sampled_from([(1, 0), (0, 1), (1, 1)]), data=st.data())
+def test_mask_union_rejects_a_shape_mismatch(masks, grow, data):
+    rows, cols = masks[0].matrix.shape
+    odd = Mask(np.zeros((rows + grow[0], cols + grow[1]), dtype=bool))
+    at = data.draw(st.integers(0, len(masks)))
+    with pytest.raises(ValueError, match="shapes differ"):
+        Mask.union(*masks[:at], odd, *masks[at:])
