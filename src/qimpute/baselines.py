@@ -37,6 +37,7 @@ class BaselineConfig:
 
 
 _KNN_BLOCK_ROWS = 8  # k-NN query rows per distance block: (8, n_rows, n_numeric) temporaries
+_KNN_GROUP_ROWS = 64  # k-NN query rows whose neighbour orders are held at once: (64, n_rows)
 
 
 class _Frame:
@@ -109,6 +110,50 @@ def _mode(codes: np.ndarray, width: int) -> int:
     return int(np.argmax(np.bincount(codes[codes >= 0], minlength=width)))
 
 
+def _neighbour_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stable argsort (equal distances keep row order, infinite
+    ones last) and its number of finite distances.
+
+    The default sort is much faster than the stable one; its order differs
+    only among equal values, so only rows with a tie among their finite
+    distances are sorted again stably.
+    """
+    order = np.argsort(d, axis=1)
+    ordered = np.take_along_axis(d, order, axis=1)
+    finite = np.isfinite(ordered)
+    tied = ((ordered[:, 1:] == ordered[:, :-1]) & finite[:, 1:]).any(axis=1)
+    order[tied] = np.argsort(d[tied], axis=1, kind="stable")
+    return order, finite.sum(axis=1)
+
+
+def _nearest(
+    order: np.ndarray, n_finite: np.ndarray, candidate: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``order``, the first ``k`` rows it lists that are
+    candidates and among its ``n_finite`` nearest: an (m, k) array of row
+    indices padded with -1, and the number found per row.
+
+    A short prefix of each order is scanned first; only rows that found
+    fewer than ``k`` there while finite distances remain scan it all.
+    """
+    m, n = order.shape
+    picks = np.full((m, k), -1)
+    found = np.zeros(m, dtype=int)
+    todo, width = np.arange(m), min(n, 4 * k)
+    while todo.size:
+        head = order[todo, :width]
+        hit = candidate[head] & (np.arange(width) < n_finite[todo, None])
+        rank = np.cumsum(hit, axis=1)
+        rows, cols = np.nonzero(hit & (rank <= k))
+        picks[todo[rows], rank[rows, cols] - 1] = head[rows, cols]
+        found[todo] = np.minimum(rank[:, -1], k)
+        if width == n:
+            break
+        todo = todo[(found[todo] < k) & (n_finite[todo] > width)]
+        width = n
+    return picks, found
+
+
 def mean_mode_impute(table: Table, mask: Mask) -> Table:
     """Numeric missing cells get the observed column mean, categorical the mode."""
     frame = _Frame(table, mask)
@@ -127,10 +172,13 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     neighbor mode. With no candidate rows the value falls back to the
     column mean/mode.
 
-    Distances are computed for a block of query rows at a time (counts by gemm).
+    Distances are computed for a block of query rows at a time (counts by
+    gemm), neighbours picked for a group of blocks per target column.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # A row is never its own candidate, so no group reaches n_rows neighbours.
+    k = min(k, table.n_rows)
     frame = _Frame(table, mask)
     num_obs = ~np.isnan(frame.num_norm)
     cat_obs = frame.cat_idx >= 0
@@ -146,27 +194,38 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     # A row's distances do not depend on the target column, which is never
     # mutually observed; nor is a row ever a candidate for its own missing cells.
     queries = np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1))
-    for start in range(0, queries.size, _KNN_BLOCK_ROWS):
-        rs = queries[start : start + _KNN_BLOCK_ROWS]
-        diffs = num_zeroed[rs, None, :] - num_zeroed  # (block, n, p_num)
-        diffs *= num_obs[rs, None, :] & num_obs
-        euclid = np.sqrt((diffs**2).sum(axis=2))
-        counts = num_w[rs] @ num_w.T + cat_w[rs] @ cat_w.T
-        hamming = cat_w[rs] @ cat_w.T - onehot[rs] @ onehot.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(counts > 0, (euclid + hamming) / counts, np.inf)
-        # Stable: equal distances keep row order; infinite ones sort last.
-        order = np.argsort(d, axis=1, kind="stable")
-        for r, row_order, n_finite in zip(rs, order, np.isfinite(d).sum(axis=1)):
-            near = row_order[:n_finite]
-            for s in np.flatnonzero(~num_obs[r]):
-                neighbors = near[num_obs[near, s]][:k]
-                if neighbors.size:
-                    num_fill[r, s] = np.mean(frame.num_values[neighbors, s])
-            for s in np.flatnonzero(~cat_obs[r]):
-                neighbors = near[cat_obs[near, s]][:k]
-                if neighbors.size:
-                    cat_fill[r, s] = _mode(frame.cat_idx[neighbors, s], widths[s])
+    for first in range(0, queries.size, _KNN_GROUP_ROWS):
+        group = queries[first : first + _KNN_GROUP_ROWS]
+        d = np.empty((group.size, table.n_rows))
+        for start in range(0, group.size, _KNN_BLOCK_ROWS):
+            rs = group[start : start + _KNN_BLOCK_ROWS]
+            diffs = num_zeroed[rs, None, :] - num_zeroed  # (block, n, p_num)
+            diffs *= num_obs[rs, None, :] & num_obs
+            euclid = np.sqrt((diffs**2).sum(axis=2))
+            counts = num_w[rs] @ num_w.T + cat_w[rs] @ cat_w.T
+            hamming = cat_w[rs] @ cat_w.T - onehot[rs] @ onehot.T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[start : start + rs.size] = np.where(
+                    counts > 0, (euclid + hamming) / counts, np.inf
+                )
+        order, n_finite = _neighbour_order(d)
+        for s, values in enumerate(frame.num_values.T):
+            at = np.flatnonzero(~num_obs[group, s])
+            picks, found = _nearest(order[at], n_finite[at], num_obs[:, s], k)
+            full = found == k
+            # Row sums of the (m, k) gather add in np.mean's order; shorter
+            # groups take np.mean itself (its summation order depends on length).
+            num_fill[group[at[full]], s] = values[picks[full]].sum(axis=1) / k
+            for i in np.flatnonzero((found > 0) & ~full):
+                num_fill[group[at[i]], s] = np.mean(values[picks[i, : found[i]]])
+        for s, width in enumerate(widths):
+            at = np.flatnonzero(~cat_obs[group, s])
+            picks, found = _nearest(order[at], n_finite[at], cat_obs[:, s], k)
+            rows, ranks = np.nonzero(picks >= 0)
+            cells = rows * width + frame.cat_idx[picks[rows, ranks], s]
+            tally = np.bincount(cells, minlength=at.size * width).reshape(at.size, width)
+            has = found > 0
+            cat_fill[group[at[has]], s] = tally[has].argmax(axis=1)  # ties: lowest code
     return frame.completed(num_fill, cat_fill)
 
 
@@ -189,24 +248,29 @@ def iterative_ridge_with_trace(
     """
     frame = _Frame(table, mask)
     n_rows = table.n_rows
+    p_num = len(frame.numeric_cols)
+    widths = [len(v) for v in frame.vocabularies]
+    offsets = np.cumsum([p_num] + widths)
 
-    # Working state in normalized space, initialized with mean/mode.
-    work_num = frame.num_norm.copy()
+    # Working state in normalized space, initialized with mean/mode: the
+    # design matrix holds the numeric slots, then each categorical's one-hot
+    # block, and is updated in place after each column's prediction.
+    design = np.zeros((n_rows, offsets[-1]))
+    work_num = design[:, :p_num]  # view
+    work_num[:] = frame.num_norm
     for s, col in enumerate(work_num.T):  # column views
         col[np.isnan(col)] = np.nanmean(frame.num_norm[:, s])
     work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
+    for s, offset in enumerate(offsets[:-1]):
+        design[np.arange(n_rows), offset + work_cat[:, s]] = 1.0
+    # Each column's design columns: its numeric slot or its one-hot block.
+    blocks = {j: range(s, s + 1) for s, j in enumerate(frame.numeric_cols)}
+    for s, j in enumerate(frame.categorical_cols):
+        blocks[j] = range(offsets[s], offsets[s + 1])
+    all_cols = np.arange(offsets[-1])
 
     schema_order = sorted(frame.numeric_cols + frame.categorical_cols)
     target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
-
-    def predictor_matrix(exclude: int) -> np.ndarray:
-        parts = [work_num[:, s : s + 1] for s, j in enumerate(frame.numeric_cols) if j != exclude]
-        parts += [
-            np.eye(len(frame.vocabularies[s]))[work_cat[:, s]]  # one-hot rows
-            for s, j in enumerate(frame.categorical_cols)
-            if j != exclude
-        ]
-        return np.concatenate(parts, axis=1) if parts else np.zeros((n_rows, 0))
 
     def ridge_predict(x_train, y_train, x_all):
         """Centered closed-form ridge; multi-target when y has 2 dims."""
@@ -225,7 +289,9 @@ def iterative_ridge_with_trace(
         for j in target_cols:
             missing_rows = np.flatnonzero(~frame.observed[:, j])
             train_rows = np.flatnonzero(frame.observed[:, j])
-            x = predictor_matrix(exclude=j)
+            # np.take, not design[:, keep]: BLAS results depend on the memory
+            # layout, and np.take gives C-contiguous predictors.
+            x = np.take(design, np.delete(all_cols, blocks[j]), axis=1)
             if j in frame.numeric_cols:
                 s = frame.numeric_cols.index(j)
                 if x.shape[1] == 0:
@@ -237,7 +303,7 @@ def iterative_ridge_with_trace(
                 work_num[missing_rows, s] = new
             else:
                 s = frame.categorical_cols.index(j)
-                onehot = np.eye(len(frame.vocabularies[s]))[frame.cat_idx[train_rows, s]]
+                onehot = np.eye(widths[s])[frame.cat_idx[train_rows, s]]
                 if x.shape[1] == 0:
                     scores = np.tile(onehot.mean(axis=0), (n_rows, 1))
                 else:
@@ -245,6 +311,8 @@ def iterative_ridge_with_trace(
                 new = np.argmax(scores[missing_rows], axis=1)
                 deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
                 work_cat[missing_rows, s] = new
+                design[missing_rows, blocks[j].start : blocks[j].stop] = 0.0
+                design[missing_rows, blocks[j].start + new] = 1.0
         change = float(np.mean(deltas)) if deltas else 0.0
         changes.append(change)
         if change < config.tolerance:

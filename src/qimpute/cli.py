@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import experiment_config_from_mapping, load_kv_config
 from .encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
-from .errors import QimputeError
+from .errors import ConfigError, QimputeError
 from .experiment import (
     ExperimentConfig,
     ablation_suite,
@@ -52,6 +52,8 @@ from .training import (
 )
 
 VARIANTS = tuple(v.value for v in EmbedderVariant)
+# export-embeddings' embedder recipe without --model; with it, the checkpoint's.
+_EXPORT_DEFAULTS = {"variant": "quantum_iqp", "seed": 0, "n_qubits": 8, "n_layers": 2}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -115,13 +117,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-embeddings", help="write labeled embedding CSV")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--schema", type=Path, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="quantum_iqp")
+    p.add_argument(
+        "--variant", choices=VARIANTS, help=f"default {_EXPORT_DEFAULTS['variant']}"
+    )
     p.add_argument("--label-col", required=True)
     p.add_argument("--mode", choices=("row_mean", "cell"), default="row_mean")
-    p.add_argument("--model", type=Path, help="checkpoint (required for classical_mlp)")
-    p.add_argument("--n-qubits", type=int, default=8)
-    p.add_argument("--n-layers", type=int, default=2)
+    p.add_argument(
+        "--model", type=Path,
+        help="checkpoint (required for classical_mlp); its stats, variant, seed, "
+        "qubits and layers are used, and a flag that contradicts them is an error",
+    )
+    p.add_argument("--n-qubits", type=int, help=f"default {_EXPORT_DEFAULTS['n_qubits']}")
+    p.add_argument("--n-layers", type=int, help=f"default {_EXPORT_DEFAULTS['n_layers']}")
     _add_common(p)
+    # None marks a flag not given, so that it can be checked against --model.
+    p.set_defaults(**dict.fromkeys(_EXPORT_DEFAULTS))
 
     return parser
 
@@ -258,16 +268,33 @@ def _cmd_ablate(args) -> int:
 def _cmd_export(args) -> int:
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema)
-    stats = fit_preprocessor(table, schema)
-    params = None
-    if args.model is not None:
-        params = load_checkpoint(args.model, expected_schema=schema).params
+    flags = {key: getattr(args, key) for key in _EXPORT_DEFAULTS}
+    if args.model is None:
+        stats, params = fit_preprocessor(table, schema), None
+        recipe = dict(_EXPORT_DEFAULTS)
+    else:
+        # Embed as the model was trained: its stats and embedder recipe.
+        bundle = load_checkpoint(args.model, expected_schema=schema)
+        stats, params = bundle.stats, bundle.params
+        recipe = {
+            "variant": bundle.variant.value,
+            "seed": bundle.embed_seed,
+            "n_qubits": bundle.n_qubits,
+            "n_layers": bundle.n_layers,
+        }
+        for key, flag in flags.items():
+            if flag is not None and flag != recipe[key]:
+                raise ConfigError(
+                    f"--{key.replace('_', '-')} {flag} contradicts the checkpoint "
+                    f"{args.model}, which was trained with {recipe[key]}"
+                )
+    recipe.update({key: flag for key, flag in flags.items() if flag is not None})
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "embeddings.csv"
     export_embeddings(
-        table, schema, stats, EmbedderVariant(args.variant),
-        seed=args.seed, label_column=args.label_col, path=path, mode=args.mode,
-        n_qubits=args.n_qubits, n_layers=args.n_layers, params=params,
+        table, schema, stats, EmbedderVariant(recipe["variant"]),
+        seed=recipe["seed"], label_column=args.label_col, path=path, mode=args.mode,
+        n_qubits=recipe["n_qubits"], n_layers=recipe["n_layers"], params=params,
     )
     print(f"wrote {path}")
     return 0

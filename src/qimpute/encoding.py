@@ -228,10 +228,15 @@ def fit_column(
         return NumericColumnStats(vmin=float(min(values)), vmax=float(max(values)))
     if spec.kind == ColumnKind.CATEGORICAL:
         return CategoricalColumnStats(vocabulary=tuple(dict.fromkeys(values)))
-    dim = text_embeddings.dim if text_embeddings is not None else text_dim
-    raw = np.stack(
-        [_raw_text_vector(r, spec.name, v, dim, text_embeddings) for r, v in zip(rows, values)]
-    )
+    if text_embeddings is None:
+        # Min and max over the distinct values' vectors are those over all cells.
+        dim = text_dim
+        raw = np.stack([text_embed_hashing(v, dim) for v in dict.fromkeys(values)])
+    else:
+        dim = text_embeddings.dim
+        raw = np.stack(
+            [_raw_text_vector(r, spec.name, v, dim, text_embeddings) for r, v in zip(rows, values)]
+        )
     return TextColumnStats(dim=dim, dim_min=raw.min(axis=0), dim_max=raw.max(axis=0))
 
 

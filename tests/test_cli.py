@@ -7,7 +7,11 @@ import pytest
 
 from qimpute.cli import _experiment_config, build_parser, main
 from qimpute.config import experiment_config_from_mapping, load_kv_config
+from qimpute.encoding import EmbedderVariant
 from qimpute.errors import ConfigError
+from qimpute.experiment import export_embeddings
+from qimpute.tabular import load_csv, load_schema
+from qimpute.training import load_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +254,66 @@ def test_export_embeddings_command(tmp_path):
     lines = (out / "embeddings.csv").read_text().strip().split("\n")
     assert len(lines) == 21
     assert lines[0].startswith("row_id,label,e_0")
+
+
+def train_classical_mlp(tmp_path, data, seed):
+    """A classical_mlp checkpoint trained on ``data`` with 4-dim text vectors."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("text.dim = 4\n")
+    model_dir = tmp_path / "model"
+    code = main([
+        "train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+        "--variant", "classical_mlp", "--seed", str(seed), "--config", str(cfg),
+        "--out", str(model_dir), "--epochs", "1", "--d-model", "8", "--n-blocks", "1",
+        "--n-heads", "2", "--d-ff", "16", "--n-qubits", "4", "--n-layers", "1",
+    ])
+    assert code == 0
+    return model_dir / "model.npz"
+
+
+def test_export_embeddings_with_model_uses_the_checkpoint(tmp_path):
+    trained, other = tmp_path / "d1", tmp_path / "d2"
+    main(["datagen", "--rows", "30", "--seed", "6", "--out", str(trained)])
+    main(["datagen", "--rows", "20", "--seed", "7", "--out", str(other)])
+    model = train_classical_mlp(tmp_path, trained, seed=6)
+    out = tmp_path / "emb"
+    code = main([
+        "export-embeddings", "--data", str(other / "data.csv"),
+        "--schema", str(other / "schema.txt"), "--label-col", "diagnosis",
+        "--model", str(model), "--out", str(out),
+    ])
+    assert code == 0
+    # The checkpoint's stats, seed, qubits and layers, not the export table's
+    # refit (whose text vectors are 16-wide) or the flags' defaults.
+    schema = load_schema(other / "schema.txt")
+    bundle = load_checkpoint(model, expected_schema=schema)
+    expected = tmp_path / "expected.csv"
+    export_embeddings(
+        load_csv(other / "data.csv", schema), schema, bundle.stats,
+        EmbedderVariant.CLASSICAL_MLP, seed=6, label_column="diagnosis", path=expected,
+        n_qubits=4, n_layers=1, params=bundle.params,
+    )
+    assert (out / "embeddings.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--variant", "quantum_iqp"], ["--seed", "7"], ["--n-qubits", "8"], ["--n-layers", "2"]]
+)
+def test_export_embeddings_flag_contradicting_the_model_is_an_error(tmp_path, capsys, flag):
+    data = tmp_path / "d"
+    main(["datagen", "--rows", "20", "--seed", "6", "--out", str(data)])
+    model = train_classical_mlp(tmp_path, data, seed=6)
+    capsys.readouterr()
+    code = main([
+        "export-embeddings", "--data", str(data / "data.csv"),
+        "--schema", str(data / "schema.txt"), "--label-col", "diagnosis",
+        "--model", str(model), "--out", str(tmp_path / "emb"), *flag,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qimpute: error: {flag[0]} {flag[1]} contradicts the checkpoint")
+    assert len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "emb" / "embeddings.csv").exists()
 
 
 def test_unknown_flag_exits_nonzero(tmp_path):

@@ -430,6 +430,31 @@ def test_text_override_changes_fit_and_encoding(tmp_path):
     assert x[1] == pytest.approx(0.0)
 
 
+REPEATED_NOTES = ["chest pain", "all clear", "chest pain", "", "Chest  PAIN", "all clear"] * 3
+
+
+def test_text_stats_from_repeated_values_equal_the_per_cell_fit():
+    rows = [[float(r), "a", note] for r, note in enumerate(REPEATED_NOTES)]
+    rows[4][2] = None
+    table = Table(SCHEMA, rows)
+    note = fit_preprocessor(table, SCHEMA, text_dim=8).for_column("note")
+    per_cell = np.stack([text_embed_hashing(row[2], 8) for row in rows if row[2] is not None])
+    assert note.dim == 8
+    assert note.dim_min.tobytes() == per_cell.min(axis=0).tobytes()
+    assert note.dim_max.tobytes() == per_cell.max(axis=0).tobytes()
+
+
+def test_text_override_on_one_row_of_a_repeated_value_sets_the_range():
+    table = Table(SCHEMA, [[float(r), "a", note] for r, note in enumerate(REPEATED_NOTES)])
+    hashed = [text_embed_hashing(note, 2) for note in REPEATED_NOTES]
+    # Row 2 repeats row 0's text; only row 2's vector is overridden.
+    overrides = TextEmbeddings(dim=2, vectors={(2, "note"): np.array([5.0, -5.0])})
+    note = fit_preprocessor(table, SCHEMA, text_embeddings=overrides).for_column("note")
+    others = np.stack(hashed[:2] + hashed[3:])
+    assert note.dim_max[0] == 5.0 and note.dim_min[1] == -5.0
+    assert note.dim_min[0] == others[:, 0].min() and note.dim_max[1] == others[:, 1].max()
+
+
 @pytest.mark.parametrize(
     "variant", [EmbedderVariant.CLASSICAL_MLP, EmbedderVariant.QUANTUM_IQP]
 )

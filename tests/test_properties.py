@@ -1,11 +1,14 @@
 """Property tests: every imputer keeps observed cells and fills masked ones,
-blocked k-NN matches its one-row-at-a-time reference, tables survive a
-CSV save/load round trip, and ``Mask.union`` keeps its algebra.
+blocked k-NN and iterative ridge match their reference implementations
+bitwise, tables survive a CSV save/load round trip, and ``Mask.union``
+keeps its algebra.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
 the suite stays reproducible.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from qimpute import baselines
 from qimpute.baselines import (
     BaselineConfig,
     iterative_ridge_impute,
+    iterative_ridge_with_trace,
     knn_impute,
     mean_mode_impute,
 )
@@ -56,24 +60,24 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=30, d
 
 
 @st.composite
-def masked_tables(draw):
+def masked_tables(draw, schema=SCHEMA, max_rows=8):
     """(table, mask): about a quarter of the cells missing and a quarter of
     the rest held out, with one observed, unmasked anchor cell per column."""
-    n_rows = draw(st.integers(2, 8))
+    n_rows = draw(st.integers(2, max_rows))
     one_in_four = st.integers(0, 3).map(lambda i: i == 0)
-    rows, held = [], np.zeros((n_rows, SCHEMA.n_columns), dtype=bool)
+    rows, held = [], np.zeros((n_rows, schema.n_columns), dtype=bool)
     for r in range(n_rows):
         row = []
-        for c, spec in enumerate(SCHEMA.columns):
+        for c, spec in enumerate(schema.columns):
             row.append(None if draw(one_in_four) else draw(CELLS[spec.kind]))
             held[r, c] = row[-1] is not None and draw(one_in_four)
         rows.append(row)
-    for c, spec in enumerate(SCHEMA.columns):
+    for c, spec in enumerate(schema.columns):
         anchor = draw(st.integers(0, n_rows - 1))
         if rows[anchor][c] is None:
             rows[anchor][c] = draw(CELLS[spec.kind])
         held[anchor, c] = False
-    return Table(SCHEMA, rows), Mask(held)
+    return Table(schema, rows), Mask(held)
 
 
 def check_imputation(table: Table, mask: Mask, before: list, out: Table) -> None:
@@ -207,6 +211,173 @@ def test_blocked_knn_matches_one_row_at_a_time(case):
     table, mask, k = case
     expected = knn_one_row_at_a_time(table, mask, k)
     assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
+
+
+def assert_knn_matches_one_row_at_a_time(rows, k):
+    table = Table(SCHEMA, rows)
+    mask = Mask(np.zeros((len(rows), SCHEMA.n_columns), dtype=bool))
+    expected = knn_one_row_at_a_time(table, mask, k)
+    assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
+
+
+def test_knn_neighbour_groups_shorter_than_k_sum_as_np_mean():
+    """k = 10 with 9 candidates for x and 5 for y: both short groups must add
+    up in np.mean's order, which for 5 values differs from that of a
+    zero-padded row of 10. h has 11 candidates, so row 11 takes a full group."""
+    rng = np.random.default_rng(5)
+    wide = lambda: float(rng.standard_normal() * 10.0 ** rng.integers(-4, 5))
+    rows = [
+        [wide(), "abc"[r % 3], "", wide() if r < 5 else None, "ab"[r % 2]]
+        for r in range(9)
+    ]
+    rows += [[None, "abc"[r % 3], "", None, "ab"[r % 2]] for r in range(2)]
+    rows += [[None, "c", "", None, None]]
+    assert_knn_matches_one_row_at_a_time(rows, k=10)
+
+
+def test_knn_candidates_beyond_the_scanned_prefix():
+    """k = 3. Each query row's twenty nearest rows (in tied pairs) miss x
+    too, and only one of them is a candidate, so the first few dozen
+    neighbours hold fewer than k candidates and the pick must read the whole
+    order. One candidate shares no feature with any query row."""
+    near = [[None, "a", "", 0.01 * (i // 2), "b"] for i in range(20)]
+    near.insert(7, [4.5, "a", "", 0.035, "b"])
+    far = [[float(v), "bca"[v % 3], "", 1.0 + v, "a"] for v in range(5)]
+    stranger = [[9.0, None, "", None, None]]
+    assert_knn_matches_one_row_at_a_time(near + far + stranger, k=3)
+
+
+def test_knn_with_k_far_beyond_the_row_count():
+    """k = 10**6 on 12 rows ("every row") takes all candidates, as slicing
+    [:k] does, and sizes no array by k (uncapped, the picks alone would
+    take 8 MB per query row)."""
+    rows = [
+        [float(r), "abc"[r % 3], "", None if r % 4 == 0 else r / 3, "ab"[r % 2]]
+        for r in range(12)
+    ]
+    rows[5][1] = None
+    assert_knn_matches_one_row_at_a_time(rows, k=10**6)
+    table = Table(SCHEMA, rows)
+    tracemalloc.start()
+    try:
+        knn_impute(table, Mask(np.zeros((12, SCHEMA.n_columns), dtype=bool)), k=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+# ---------------------------------------------------------------------------
+# iterative ridge against a predictor matrix rebuilt for every target
+# ---------------------------------------------------------------------------
+
+
+def ridge_with_predictor_matrix(table: Table, mask: Mask, config: BaselineConfig):
+    """Iterative ridge as it was computed before one design matrix was kept:
+    every target's predictors concatenated afresh from the working state."""
+    frame = baselines._Frame(table, mask)
+    n_rows = table.n_rows
+
+    work_num = frame.num_norm.copy()
+    for s, col in enumerate(work_num.T):
+        col[np.isnan(col)] = np.nanmean(frame.num_norm[:, s])
+    work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
+
+    schema_order = sorted(frame.numeric_cols + frame.categorical_cols)
+    target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
+
+    def predictor_matrix(exclude: int) -> np.ndarray:
+        parts = [work_num[:, s : s + 1] for s, j in enumerate(frame.numeric_cols) if j != exclude]
+        parts += [
+            np.eye(len(frame.vocabularies[s]))[work_cat[:, s]]
+            for s, j in enumerate(frame.categorical_cols)
+            if j != exclude
+        ]
+        return np.concatenate(parts, axis=1) if parts else np.zeros((n_rows, 0))
+
+    def ridge_predict(x_train, y_train, x_all):
+        x_mean = x_train.mean(axis=0)
+        y_mean = y_train.mean(axis=0)
+        xc = x_train - x_mean
+        yc = y_train - y_mean
+        gram = xc.T @ xc + config.ridge_lambda * np.eye(x_train.shape[1])
+        beta = np.linalg.solve(gram, xc.T @ yc)
+        return y_mean + (x_all - x_mean) @ beta
+
+    changes: list[float] = []
+    converged = False
+    for _ in range(config.max_sweeps):
+        deltas: list[float] = []
+        for j in target_cols:
+            missing_rows = np.flatnonzero(~frame.observed[:, j])
+            train_rows = np.flatnonzero(frame.observed[:, j])
+            x = predictor_matrix(exclude=j)
+            if j in frame.numeric_cols:
+                s = frame.numeric_cols.index(j)
+                if x.shape[1] == 0:
+                    preds = np.full(n_rows, frame.num_norm[train_rows, s].mean())
+                else:
+                    preds = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)
+                new = preds[missing_rows]
+                deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
+                work_num[missing_rows, s] = new
+            else:
+                s = frame.categorical_cols.index(j)
+                onehot = np.eye(len(frame.vocabularies[s]))[frame.cat_idx[train_rows, s]]
+                if x.shape[1] == 0:
+                    scores = np.tile(onehot.mean(axis=0), (n_rows, 1))
+                else:
+                    scores = ridge_predict(x[train_rows], onehot, x)
+                new = np.argmax(scores[missing_rows], axis=1)
+                deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
+                work_cat[missing_rows, s] = new
+        change = float(np.mean(deltas)) if deltas else 0.0
+        changes.append(change)
+        if change < config.tolerance:
+            converged = True
+            break
+
+    num_fill = np.empty_like(work_num)
+    for s, stats in enumerate(frame.num_stats):
+        num_fill[:, s] = stats.denormalize(work_num[:, s])
+    return frame.completed(num_fill, work_cat), changes, converged
+
+
+def schema_of(*names: str) -> DatasetSchema:
+    return DatasetSchema(tuple(spec for spec in SCHEMA.columns if spec.name in names), name="sub")
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        SCHEMA,
+        schema_of("x", "y"),
+        schema_of("g", "h"),
+        schema_of("x", "note"),  # a target with no predictors
+        schema_of("g", "note"),
+    ],
+    ids=["mixed", "numeric", "categorical", "numeric_alone", "categorical_alone"],
+)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    config=st.builds(
+        BaselineConfig,
+        ridge_lambda=st.sampled_from([1.0, 0.01]),
+        max_sweeps=st.integers(1, 6),
+        tolerance=st.sampled_from([1e-4, 0.0]),
+    ),
+)
+def test_iterative_ridge_matches_predictor_matrix_reference(schema, data, config):
+    case = data.draw(masked_tables(schema, max_rows=24))
+    table, mask = case
+    completed, changes, converged = iterative_ridge_with_trace(table, mask, config)
+    expected, expected_changes, expected_converged = ridge_with_predictor_matrix(
+        table, mask, config
+    )
+    assert completed.content_hash() == expected.content_hash()
+    assert [c.hex() for c in changes] == [c.hex() for c in expected_changes]
+    assert converged == expected_converged
 
 
 # ---------------------------------------------------------------------------
