@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import NumericColumnStats, fit_column
+from .errors import ConfigError
 from .tabular import ColumnKind, Mask, Table, missing_mask
 
 
@@ -29,11 +30,11 @@ class BaselineConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.ridge_lambda <= 0.0:
-            raise ValueError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if not self.ridge_lambda > 0.0:  # also rejects nan
+            raise ConfigError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
         if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+            raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
 _KNN_BLOCK_ROWS = 8  # k-NN query rows per distance block: (8, n_rows, n_numeric) temporaries
@@ -60,7 +61,8 @@ class _Frame:
         self.num_values = np.full((n_rows, len(self.numeric_cols)), np.nan)
         self.num_norm = np.full((n_rows, len(self.numeric_cols)), np.nan)
         for slot, j in enumerate(self.numeric_cols):
-            rows, values = self._observed_cells(j)
+            rows = np.flatnonzero(self.observed[:, j])
+            values = table.column(j, rows)
             stats = fit_column(schema.columns[j], values)
             self.num_stats.append(stats)
             self.num_values[rows, slot] = values
@@ -69,14 +71,11 @@ class _Frame:
         self.vocabularies: list[tuple[str, ...]] = []
         self.cat_idx = np.full((n_rows, len(self.categorical_cols)), -1, dtype=int)
         for slot, j in enumerate(self.categorical_cols):
-            rows, values = self._observed_cells(j)
+            rows = np.flatnonzero(self.observed[:, j])
+            values = table.column(j, rows)
             stats = fit_column(schema.columns[j], values)
             self.vocabularies.append(stats.vocabulary)
             self.cat_idx[rows, slot] = stats.codes(values)
-
-    def _observed_cells(self, j: int) -> tuple[np.ndarray, list]:
-        rows = np.flatnonzero(self.observed[:, j])
-        return rows, [self.table.rows[r][j] for r in rows]
 
     def column_fills(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays shaped like ``num_values`` and ``cat_idx`` that hold, in
@@ -94,15 +93,14 @@ class _Frame:
         """Copy of the table with every unobserved numeric/categorical cell
         set from the same position of ``num_fill`` (column units) or
         ``cat_fill`` (codes), arrays shaped like ``num_values``/``cat_idx``."""
-        out = self.table.copy()
+        cells = []
         for slot, j in enumerate(self.numeric_cols):
-            for r in np.flatnonzero(~self.observed[:, j]):
-                out.rows[r][j] = float(num_fill[r, slot])
+            rows = np.flatnonzero(~self.observed[:, j])
+            cells.append((j, rows, num_fill[rows, slot].tolist()))
         for slot, j in enumerate(self.categorical_cols):
-            vocab = self.vocabularies[slot]
-            for r in np.flatnonzero(~self.observed[:, j]):
-                out.rows[r][j] = vocab[int(cat_fill[r, slot])]
-        return out
+            rows = np.flatnonzero(~self.observed[:, j])
+            cells.append((j, rows, [self.vocabularies[slot][c] for c in cat_fill[rows, slot]]))
+        return self.table.filled(cells)
 
 
 def _mode(codes: np.ndarray, width: int) -> int:

@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import experiment_config_from_mapping, load_kv_config
 from .encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
 from .errors import ConfigError, QimputeError
@@ -31,9 +29,8 @@ from .experiment import (
 )
 from .model import ModelConfig
 from .tabular import (
-    Mask,
-    MaskProvenance,
     apply_mask,
+    empty_mask,
     inject_mcar,
     load_csv,
     load_schema,
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate the synthetic healthcare dataset")
-    p.add_argument("--rows", type=int, default=1000)
+    p.add_argument("--rows", type=int, default=1000, dest="n_rows")
     _add_common(p)
 
     p = sub.add_parser("mask", help="inject MCAR missingness into a CSV")
@@ -147,7 +144,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def _cmd_datagen(args) -> int:
     from .datasets import synth_healthcare_generate
 
-    data = synth_healthcare_generate(args.rows, seed=args.seed)
+    data = synth_healthcare_generate(args.n_rows, seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     save_csv(data.table, args.out / "data.csv")
     save_csv(data.truth, args.out / "truth.csv")
@@ -203,11 +200,7 @@ def _cmd_train(args) -> int:
     embedder = CellEmbedder(
         schema, stats, variant, seed=args.seed, n_qubits=n_qubits, n_layers=n_layers
     )
-    empty = Mask(
-        np.zeros((table.n_rows, schema.n_columns), dtype=bool),
-        MaskProvenance.INJECTED_MCAR,
-    )
-    result = train(table, empty, schema, stats, embedder, model_config, train_config)
+    result = train(table, empty_mask(table), schema, stats, embedder, model_config, train_config)
     args.out.mkdir(parents=True, exist_ok=True)
     bundle = CheckpointBundle(
         params=result.params,
@@ -235,12 +228,8 @@ def _cmd_impute(args) -> int:
     table = load_csv(args.data, schema)
     bundle = load_checkpoint(args.model, expected_schema=schema)
     embedder = bundle.build_embedder()
-    empty = Mask(
-        np.zeros((table.n_rows, schema.n_columns), dtype=bool),
-        MaskProvenance.INJECTED_MCAR,
-    )
     completed = impute_table(
-        table, empty, schema, bundle.stats, embedder, bundle.params
+        table, empty_mask(table), schema, bundle.stats, embedder, bundle.params
     )
     args.out.mkdir(parents=True, exist_ok=True)
     save_csv(completed, args.out / "imputed.csv")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import DATAGEN, substream
 from .tabular import (
     ColumnKind,
@@ -28,6 +29,7 @@ from .tabular import (
     Mask,
     MaskProvenance,
     Table,
+    apply_mask,
 )
 
 DIAGNOSES = ("stable", "guarded", "critical")
@@ -211,7 +213,7 @@ def synth_healthcare_generate(n_rows: int, seed: int) -> SyntheticDataset:
     mask. Deterministic per seed.
     """
     if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+        raise ConfigError(f"n_rows must be >= 1, got {n_rows}")
     rng = substream(seed, DATAGEN)
     class_idx = rng.choice(len(DIAGNOSES), size=n_rows, p=_DIAGNOSIS_PROBS)
 
@@ -271,12 +273,7 @@ def synth_healthcare_generate(n_rows: int, seed: int) -> SyntheticDataset:
     matrix = np.zeros((n_rows, HEALTHCARE_SCHEMA.n_columns), dtype=bool)
     matrix[class_idx == 0, bp_col] = True
     mnar = Mask(matrix, MaskProvenance.INJECTED_MNAR)
-
-    work_rows = [list(row) for row in truth_rows]
-    for r in np.flatnonzero(matrix[:, bp_col]):
-        work_rows[r][bp_col] = None
-    table = Table(HEALTHCARE_SCHEMA, work_rows)
-    return SyntheticDataset(table=table, truth=truth, mnar_mask=mnar)
+    return SyntheticDataset(table=apply_mask(truth, mnar), truth=truth, mnar_mask=mnar)
 
 
 TOY_SCHEMA = DatasetSchema(

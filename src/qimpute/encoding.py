@@ -198,11 +198,12 @@ def fit_preprocessor(
     text_embeddings: TextEmbeddings | None = None,
 ) -> PreprocessStats:
     """Fit every column's normalization constants from its observed cells."""
+    observed = ~missing_mask(table).matrix
     per_column: dict[str, ColumnStats] = {}
     for j, spec in enumerate(schema.columns):
-        rows = [r for r, row in enumerate(table.rows) if row[j] is not None]
+        rows = np.flatnonzero(observed[:, j]).tolist()
         per_column[spec.name] = fit_column(
-            spec, [table.rows[r][j] for r in rows], rows, text_dim, text_embeddings
+            spec, table.column(j, rows), rows, text_dim, text_embeddings
         )
     return PreprocessStats(per_column=per_column)
 
@@ -431,9 +432,6 @@ class CellEmbedder:
             ]
         self._cache: dict[tuple[int, CellValue], np.ndarray] = {}
 
-    def feature_width(self, col: int) -> int:
-        return self._widths[col]
-
     def classical_vector(self, row: int, col: int, value: CellValue) -> np.ndarray:
         """Classical features of one observed cell (one-row :func:`encode_column`)."""
         return self._encode(col, [row], [value])[0]
@@ -469,7 +467,7 @@ class CellEmbedder:
             rows = np.flatnonzero(observed[:, c]).tolist()
             if not rows:
                 continue
-            values = [table.rows[r][c] for r in rows]
+            values = table.column(c, rows)
             if self.mlp_d_in:
                 out[rows, c, : self._widths[c]] = self._encode(c, rows, values)
             else:

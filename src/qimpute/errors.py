@@ -28,8 +28,8 @@ class ContractViolation(QimputeError):
     """A caller broke a documented precondition, e.g. encoding a missing cell."""
 
 
-class ConfigError(QimputeError):
-    """Malformed config file or invalid option combination."""
+class ConfigError(QimputeError, ValueError):
+    """Malformed config file, invalid option value or combination."""
 
 
 class CheckpointError(QimputeError):

@@ -41,9 +41,9 @@ from .model import ModelConfig, ModelParams, mlp_embed
 from .tabular import (
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
+    empty_mask,
     inject_mcar,
     load_csv,
     load_schema,
@@ -91,8 +91,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {method!r}; expected one of {ALL_METHODS}"
                 )
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for name in ("n_rows", "n_qubits", "n_layers", "text_dim", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
 
 
 @dataclass
@@ -117,10 +120,7 @@ def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
         schema = load_schema(config.schema_path)
         base = load_csv(config.csv_path, schema)
         truth = base.copy()
-        mnar = Mask(
-            np.zeros((base.n_rows, schema.n_columns), dtype=bool),
-            MaskProvenance.INJECTED_MNAR,
-        )
+        mnar = empty_mask(base)
     mcar = inject_mcar(base, config.missing_rate, seed=seed)
     working = apply_mask(base, mcar)
     full_mask = missing_mask(working)
@@ -137,16 +137,9 @@ def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
     )
 
 
-def _empty_mask(table: Table) -> Mask:
-    return Mask(
-        np.zeros((table.n_rows, table.schema.n_columns), dtype=bool),
-        MaskProvenance.INJECTED_MCAR,
-    )
-
-
 def run_method(method: str, split: PreparedSplit, config: ExperimentConfig, seed: int) -> Table:
     """Impute the split's working table with one method."""
-    extra = _empty_mask(split.working)
+    extra = empty_mask(split.working)
     if method == "mean_mode":
         return mean_mode_impute(split.working, extra)
     if method == "knn":
@@ -365,10 +358,7 @@ def ablation_suite(config: ExperimentConfig, out_dir=None) -> MetricReport:
 
     Everything except the embedding variant is held fixed.
     """
-    report = run_experiment(replace(config, methods=ABLATION_VARIANTS), out_dir=None)
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
+    return run_experiment(replace(config, methods=ABLATION_VARIANTS), out_dir=out_dir)
 
 
 def write_report(report: MetricReport, out_dir) -> None:
@@ -427,6 +417,7 @@ def export_embeddings(
             )
         emb, _ = mlp_embed(params.tensors, emb)
     observed = ~missing_mask(table).matrix
+    labels = ["" if v is None else v for v in table.column(label_idx, range(table.n_rows))]
     dim = embedder.embed_dim
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -435,21 +426,16 @@ def export_embeddings(
             for r in range(table.n_rows):
                 cells = emb[r][observed[r]]
                 mean = cells.mean(axis=0) if cells.size else np.zeros(dim)
-                label = table.rows[r][label_idx]
-                writer.writerow(
-                    [r, "" if label is None else label]
-                    + [format(v, ".17g") for v in mean]
-                )
+                writer.writerow([r, labels[r]] + [format(v, ".17g") for v in mean])
         else:
             writer.writerow(
                 ["row_id", "column_name", "label"] + [f"e_{i}" for i in range(dim)]
             )
             for r in range(table.n_rows):
-                label = table.rows[r][label_idx]
                 for c in range(schema.n_columns):
                     if not observed[r, c]:
                         continue
                     writer.writerow(
-                        [r, schema.columns[c].name, "" if label is None else label]
+                        [r, schema.columns[c].name, labels[r]]
                         + [format(v, ".17g") for v in emb[r, c]]
                     )

@@ -19,25 +19,22 @@ from .encoding import NumericColumnStats, PreprocessStats
 from .tabular import ColumnKind, Mask, Table
 
 
-def _scored_cells(imputed: Table, truth: Table, mask: Mask, j: int) -> tuple[list, list]:
-    """(imputed, true) values at column j's masked cells that have a truth value.
+def _scored_cells(imputed: Table, truth: Table, mask: Mask, kind: ColumnKind):
+    """Per column of ``kind``: (column, imputed values, true values) at the
+    masked cells that have a truth value.
 
     Raises ValueError when the imputation left such a cell missing.
     """
-    preds, trues = [], []
-    for r in np.flatnonzero(mask.matrix[:, j]):
-        true_value = truth.rows[r][j]
-        if true_value is None:
-            continue
-        pred = imputed.rows[r][j]
-        if pred is None:
+    for j in imputed.schema.indices_of(kind):
+        masked = np.flatnonzero(mask.matrix[:, j])
+        rows = masked[[t is not None for t in truth.column(j, masked)]]
+        preds = imputed.column(j, rows)
+        if None in preds:
             raise ValueError(
-                f"imputed table still missing cell (row {r}, "
+                f"imputed table still missing cell (row {rows[preds.index(None)]}, "
                 f"column {imputed.schema.columns[j].name!r})"
             )
-        preds.append(pred)
-        trues.append(true_value)
-    return preds, trues
+        yield j, preds, truth.column(j, rows)
 
 
 def rmse_numeric(
@@ -50,10 +47,9 @@ def rmse_numeric(
     """
     schema = imputed.schema
     diffs = []
-    for j in schema.indices_of(ColumnKind.NUMERIC):
+    for j, preds, trues in _scored_cells(imputed, truth, mask, ColumnKind.NUMERIC):
         col_stats = stats.for_column(schema.columns[j].name)
         assert isinstance(col_stats, NumericColumnStats)
-        preds, trues = _scored_cells(imputed, truth, mask, j)
         diffs.append(col_stats.normalize(preds) - col_stats.normalize(trues))
     diff = np.concatenate([np.zeros(0), *diffs])
     if diff.size == 0:
@@ -71,8 +67,7 @@ def rmse_raw_per_column(
     """
     schema = imputed.schema
     out: dict[str, float] = {}
-    for j in schema.indices_of(ColumnKind.NUMERIC):
-        preds, trues = _scored_cells(imputed, truth, mask, j)
+    for j, preds, trues in _scored_cells(imputed, truth, mask, ColumnKind.NUMERIC):
         if preds:
             sq = [(p - t) ** 2 for p, t in zip(preds, trues)]
             out[schema.columns[j].name] = float(np.sqrt(np.mean(sq)))
@@ -87,8 +82,7 @@ def macro_f1_categorical(imputed: Table, truth: Table, mask: Mask) -> float | No
     when no masked categorical cell has a truth value.
     """
     pairs = []  # (predicted class, true class) per scored cell
-    for j in imputed.schema.indices_of(ColumnKind.CATEGORICAL):
-        preds, trues = _scored_cells(imputed, truth, mask, j)
+    for j, preds, trues in _scored_cells(imputed, truth, mask, ColumnKind.CATEGORICAL):
         pairs += [((j, str(p)), (j, str(t))) for p, t in zip(preds, trues)]
     if not pairs:
         return None

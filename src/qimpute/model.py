@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import CategoricalColumnStats, PreprocessStats
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .rng import INIT, substream
 from .tabular import ColumnKind, DatasetSchema
 
@@ -44,8 +44,13 @@ class ModelConfig:
     mlp_hidden: int = 16
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "d_ff", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_blocks < 0:
+            raise ConfigError(f"n_blocks must be >= 0, got {self.n_blocks}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Stream identifiers. Values are part of the reproducibility contract:
 # renumbering them changes every seeded result.
 DATAGEN = 0
@@ -29,5 +31,5 @@ def substream(seed: int, stream: int, *extra: int) -> np.random.Generator:
     matrix per column: ``substream(seed, PROJECTION, column_index)``.
     """
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, stream, *extra]))

@@ -72,7 +72,8 @@ class DatasetSchema:
 
 @dataclass
 class Table:
-    """Row-major cell storage conforming to a schema."""
+    """Row-major cell storage conforming to a schema; other modules reach
+    cells only through :meth:`column` and :meth:`filled`."""
 
     schema: DatasetSchema
     rows: list[list[CellValue]]
@@ -99,6 +100,19 @@ class Table:
 
     def copy(self) -> "Table":
         return Table(self.schema, [list(row) for row in self.rows])
+
+    def column(self, j: int, rows) -> list[CellValue]:
+        """The cells of column ``j`` at ``rows``, in the order given."""
+        return [self.rows[r][j] for r in np.asarray(rows).tolist()]
+
+    def filled(self, cells) -> "Table":
+        """A new table with each ``(column, rows, values)`` of ``cells`` written
+        in, validated like any table: a non-finite numeric value raises."""
+        rows = [list(row) for row in self.rows]
+        for j, at, values in cells:
+            for r, v in zip(np.asarray(at).tolist(), values, strict=True):
+                rows[r][j] = v
+        return Table(self.schema, rows)
 
     def content_hash(self) -> str:
         """Stable digest of schema + every cell; used for determinism checks."""
@@ -170,6 +184,11 @@ def missing_mask(table: Table) -> Mask:
     return Mask(matrix, MaskProvenance.NATIVE)
 
 
+def empty_mask(table: Table) -> Mask:
+    """A mask of the table's shape that holds out no cell."""
+    return Mask(np.zeros((table.n_rows, table.schema.n_columns), dtype=bool))
+
+
 def apply_mask(table: Table, mask: Mask) -> Table:
     """Blank every masked cell, returning a new working table."""
     if mask.matrix.shape != (table.n_rows, table.schema.n_columns):
@@ -177,10 +196,9 @@ def apply_mask(table: Table, mask: Mask) -> Table:
             f"mask shape {mask.matrix.shape} does not match table "
             f"({table.n_rows}, {table.schema.n_columns})"
         )
-    rows = [
-        [None if mask.matrix[r, c] else v for c, v in enumerate(row)]
-        for r, row in enumerate(table.rows)
-    ]
+    rows = [list(row) for row in table.rows]
+    for r, c in np.argwhere(mask.matrix).tolist():
+        rows[r][c] = None
     return Table(table.schema, rows)
 
 

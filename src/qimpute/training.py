@@ -27,7 +27,7 @@ from .encoding import (
     PreprocessStats,
     TextColumnStats,
 )
-from .errors import CheckpointError, FitError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, FitError, TrainingDiverged
 from .model import (
     Batch,
     ColumnHead,
@@ -70,15 +70,15 @@ class TrainConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.mask_rate < 1.0:
-            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
+            raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -139,7 +139,7 @@ def _targets(
     cat_targets = np.zeros(observed.shape, dtype=int)
     for j, spec in enumerate(schema.columns):
         rows = np.flatnonzero(observed[:, j])
-        values = [table.rows[r][j] for r in rows]
+        values = table.column(j, rows)
         col = stats.for_column(spec.name)
         if spec.kind == ColumnKind.NUMERIC:
             num_targets[rows, j] = col.normalize(values)
@@ -255,7 +255,7 @@ def impute_table(
     observed = ~(missing_mask(table).matrix | mask.matrix)
     # embed_table zeroes every cell that is not observed: no masking needed
     features = embedder.embed_table(table, mask)
-    out = table.copy()
+    cells = []
     for start in range(0, table.n_rows, batch_rows):
         rows = np.arange(start, min(start + batch_rows, table.n_rows))
         batch = Batch(token_masked=~observed[rows], features=features[rows])
@@ -269,9 +269,8 @@ def impute_table(
                 fills = np.clip(col_stats.denormalize(values), lo, hi).tolist()
             else:
                 fills = [col_stats.vocabulary[c] for c in np.argmax(values, axis=1)]
-            for r, value in zip(rows[batch_row_idx].tolist(), fills):
-                out.rows[r][col] = value
-    return out
+            cells.append((col, rows[batch_row_idx], fills))
+    return table.filled(cells)
 
 
 # ---------------------------------------------------------------------------

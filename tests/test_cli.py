@@ -340,3 +340,40 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
     code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "mystery.key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["train.lr = nan", "model.n_heads = 3", "dataset.rows = 0", "seeds = -1",
+     "quantum.n_qubits = 0", "quantum.n_layers = 0", "text.dim = 0", "model.d_model = 0",
+     "model.d_ff = 0", "model.n_heads = 0", "baseline.ridge_lambda = nan"],
+)
+def test_invalid_config_value_single_line_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = main(["eval", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qimpute: error:")
+    assert len(err.strip().split("\n")) == 1
+    assert not out.exists()  # rejected before any work starts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["datagen", "--rows", "0"], ["datagen", "--seed", "-2"], ["train", "--epochs", "0"]],
+)
+def test_invalid_flag_value_single_line_error(tmp_path, capsys, argv):
+    data = tmp_path / "d"
+    main(["datagen", "--rows", "20", "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    if argv[0] == "train":
+        argv = argv + ["--data", str(data / "data.csv"), "--schema", str(data / "schema.txt")]
+    out = tmp_path / "o"
+    code = main(argv + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qimpute: error:")
+    assert len(err.strip().split("\n")) == 1
+    assert not out.exists()

@@ -1,8 +1,12 @@
 """Tests for the table model, CSV round-trips and mask injection."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qimpute
 from qimpute.errors import CsvLoadError
 from qimpute.tabular import (
     ColumnKind,
@@ -41,6 +45,52 @@ def make_table():
             [7.25, None, None],
         ],
     )
+
+
+def test_only_tabular_touches_table_rows():
+    """Outside tabular.py, cells are read and written with Table.column and
+    Table.filled, so a change of row layout stays inside one module."""
+    touches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qimpute.__file__).parent.glob("*.py"))
+        if path.name != "tabular.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert touches == []
+
+
+def test_column_gathers_in_the_order_given():
+    table = make_table()
+    assert table.column(0, np.array([2, 0, 1])) == [7.25, 3.5, None]
+    assert table.column(1, np.array([1, 1, 0])) == ["b", "b", "a"]
+    assert table.column(2, np.array([], dtype=int)) == []
+
+
+def test_filled_writes_only_the_given_cells():
+    table = make_table()
+    before = [list(row) for row in table.rows]
+    out = table.filled([(0, np.array([1]), [4.0]), (1, [2, 0], ["c", "d"])])
+    assert out.rows == [
+        [3.5, "d", "all good"],
+        [4.0, "b", "watch, with commas"],
+        [7.25, "c", None],
+    ]
+    assert table.rows == before  # the source table is unchanged
+    assert out.content_hash() != table.content_hash()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 3])
+def test_filled_rejects_a_non_finite_or_non_float_numeric_value(bad):
+    table = make_table()
+    with pytest.raises(ValueError, match="finite float"):
+        table.filled([(0, [1], [bad])])
+    assert table.rows[1][0] is None
+
+
+def test_filled_rejects_rows_and_values_of_different_lengths():
+    with pytest.raises(ValueError):
+        make_table().filled([(1, [0, 1], ["x"])])
 
 
 def test_schema_rejects_duplicates():
