@@ -12,6 +12,7 @@ until the mean absolute change falls below tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,12 @@ class BaselineConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.ridge_lambda > 0.0:  # also rejects nan
-            raise ConfigError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
+        if not 0.0 < self.ridge_lambda < math.inf:  # also rejects nan
+            raise ConfigError(f"ridge_lambda must be finite and > 0, got {self.ridge_lambda}")
         if self.max_sweeps < 1:
             raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if not 0.0 <= self.tolerance < math.inf:  # also rejects nan
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 _KNN_BLOCK_ROWS = 8  # k-NN query rows per distance block: (8, n_rows, n_numeric) temporaries

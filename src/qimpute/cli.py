@@ -166,39 +166,35 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _train_configs(args) -> tuple[ModelConfig, TrainConfig, int, int, int]:
+def _given(**flags) -> dict:
+    """The flags that were given on the command line (not None)."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+def _train_configs(args) -> tuple[ModelConfig, TrainConfig, int, int]:
     """Merge config-file keys with CLI flags (flags win) for the train command."""
     base = _experiment_config(args)
-    n_qubits = args.n_qubits if args.n_qubits is not None else base.n_qubits
     n_layers = args.n_layers if args.n_layers is not None else base.n_layers
-    model = base.model
-    model_overrides = {
-        "d_model": args.d_model,
-        "n_blocks": args.n_blocks,
-        "n_heads": args.n_heads,
-        "d_ff": args.d_ff,
-    }
-    model_overrides = {k: v for k, v in model_overrides.items() if v is not None}
-    model = replace(model, embed_dim=n_qubits, **model_overrides)
-    train_overrides = {
-        "learning_rate": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "mask_rate": args.mask_rate,
-    }
-    train_overrides = {k: v for k, v in train_overrides.items() if v is not None}
-    train_config = replace(base.train, seed=args.seed, **train_overrides)
-    return model, train_config, n_qubits, n_layers, base.text_dim
+    model = replace(base.model, **_given(
+        d_model=args.d_model, n_blocks=args.n_blocks, n_heads=args.n_heads, d_ff=args.d_ff,
+        embed_dim=args.n_qubits,
+    ))
+    train_config = replace(base.train, seed=args.seed, **_given(
+        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+        mask_rate=args.mask_rate,
+    ))
+    return model, train_config, n_layers, base.text_dim
 
 
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema)
-    model_config, train_config, n_qubits, n_layers, text_dim = _train_configs(args)
+    model_config, train_config, n_layers, text_dim = _train_configs(args)
     stats = fit_preprocessor(table, schema, text_dim=text_dim)
     variant = EmbedderVariant(args.variant)
     embedder = CellEmbedder(
-        schema, stats, variant, seed=args.seed, n_qubits=n_qubits, n_layers=n_layers
+        schema, stats, variant, seed=args.seed, n_qubits=model_config.embed_dim,
+        n_layers=n_layers,
     )
     result = train(table, empty_mask(table), schema, stats, embedder, model_config, train_config)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -208,9 +204,7 @@ def _cmd_train(args) -> int:
         schema=schema,
         variant=variant,
         embed_seed=args.seed,
-        n_qubits=n_qubits,
         n_layers=n_layers,
-        text_dim=text_dim,
     )
     save_checkpoint(args.out / "model.npz", bundle)
     with open(args.out / "loss_history.json", "w", encoding="utf-8") as fh:
@@ -268,7 +262,7 @@ def _cmd_export(args) -> int:
         recipe = {
             "variant": bundle.variant.value,
             "seed": bundle.embed_seed,
-            "n_qubits": bundle.n_qubits,
+            "n_qubits": bundle.params.config.embed_dim,
             "n_layers": bundle.n_layers,
         }
         for key, flag in flags.items():
@@ -277,7 +271,7 @@ def _cmd_export(args) -> int:
                     f"--{key.replace('_', '-')} {flag} contradicts the checkpoint "
                     f"{args.model}, which was trained with {recipe[key]}"
                 )
-    recipe.update({key: flag for key, flag in flags.items() if flag is not None})
+    recipe.update(_given(**flags))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "embeddings.csv"
     export_embeddings(

@@ -3,8 +3,8 @@
 Format: one ``key = value`` per line, ``#`` comments, blank lines ignored.
 Section structure is spelled with dots in the key (``train.lr``). Keys map
 onto :class:`qimpute.experiment.ExperimentConfig`; unknown keys are errors
-so typos never pass silently. The model's embedding width always follows
-``quantum.n_qubits`` (every variant shares one embedding dimension).
+so typos never pass silently. ``quantum.n_qubits`` sets ``model.embed_dim``,
+the one embedding width that every variant shares.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _KEYS = {
     "mask.rate": ("root", "missing_rate", _parse_float),
     "threads": ("root", "threads", _parse_int),
     "text.dim": ("root", "text_dim", _parse_int),
-    "quantum.n_qubits": ("root", "n_qubits", _parse_int),
+    "quantum.n_qubits": ("model", "embed_dim", _parse_int),
     "quantum.n_layers": ("root", "n_layers", _parse_int),
     "model.d_model": ("model", "d_model", _parse_int),
     "model.n_blocks": ("model", "n_blocks", _parse_int),
@@ -85,11 +85,8 @@ _KEYS = {
 
 def experiment_config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed keys; unknown keys are errors."""
-    root: dict = {}
-    model: dict = {}
-    train: dict = {}
-    baseline: dict = {}
-    buckets = {"root": root, "model": model, "train": train, "baseline": baseline}
+    buckets: dict[str, dict] = {name: {} for name in ("root", "model", "train", "baseline")}
+    root = buckets["root"]
     for key, value in mapping.items():
         if key == "methods":
             root["methods"] = _parse_list(value)
@@ -102,15 +99,10 @@ def experiment_config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         target, field_name, parser = _KEYS[key]
         buckets[target][field_name] = parser(key, value) if parser is not str else value
 
-    model_config = ModelConfig(
-        embed_dim=root.get("n_qubits", ExperimentConfig.n_qubits),
-        **model,
-    )
-    train_config = TrainConfig(**train)
-    baseline_config = BaselineConfig(**baseline)
     try:
         return ExperimentConfig(
-            model=model_config, train=train_config, baseline=baseline_config, **root
+            model=ModelConfig(**buckets["model"]), train=TrainConfig(**buckets["train"]),
+            baseline=BaselineConfig(**buckets["baseline"]), **root,
         )
     except TypeError as exc:
         raise ConfigError(str(exc)) from None

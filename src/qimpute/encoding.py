@@ -410,7 +410,6 @@ class CellEmbedder:
         self.seed = seed
         self.n_qubits = n_qubits
         self.n_layers = n_layers
-        self.embed_dim = n_qubits
         self.text_embeddings = text_embeddings
         self._widths = [stats.feature_width(c.name) for c in schema.columns]
         self.d_in_max = max(self._widths)
@@ -455,14 +454,14 @@ class CellEmbedder:
     def embed_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
         """The model input: (rows, columns, width), zeros at missing/masked cells.
 
-        The width is ``embed_dim`` for the fixed variants, whose cells are
+        The width is ``n_qubits`` for the fixed variants, whose cells are
         embedded here. The MLP variant's input is each cell's classical
         vector zero-padded to ``mlp_d_in``; the model embeds it.
         """
         observed = ~missing_mask(table).matrix
         if mask is not None:
             observed &= ~mask.matrix
-        out = np.zeros((table.n_rows, self.schema.n_columns, self.mlp_d_in or self.embed_dim))
+        out = np.zeros((table.n_rows, self.schema.n_columns, self.mlp_d_in or self.n_qubits))
         for c in range(self.schema.n_columns):
             rows = np.flatnonzero(observed[:, c]).tolist()
             if not rows:
@@ -475,7 +474,7 @@ class CellEmbedder:
         return out
 
     def _embed_column(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
-        """(len(rows), embed_dim) embeddings of observed cells of one column.
+        """(len(rows), n_qubits) embeddings of observed cells of one column.
 
         The column's distinct uncached values, plus every cell with a
         precomputed text override (those are never cached), are encoded and

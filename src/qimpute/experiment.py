@@ -72,8 +72,7 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     baseline: BaselineConfig = BaselineConfig()
-    n_qubits: int = 8
-    n_layers: int = 2
+    n_layers: int = 2  # circuit depth; the width is model.embed_dim
     text_dim: int = 16
     threads: int = 1
 
@@ -91,7 +90,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {method!r}; expected one of {ALL_METHODS}"
                 )
-        for name in ("n_rows", "n_qubits", "n_layers", "text_dim", "threads"):
+        for name in ("n_rows", "n_layers", "text_dim", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if min(self.seeds) < 0:
@@ -152,7 +151,7 @@ def run_method(method: str, split: PreparedSplit, config: ExperimentConfig, seed
         split.stats,
         variant,
         seed=seed,
-        n_qubits=config.n_qubits,
+        n_qubits=config.model.embed_dim,
         n_layers=config.n_layers,
     )
     train_config = replace(config.train, seed=seed)
@@ -418,19 +417,17 @@ def export_embeddings(
         emb, _ = mlp_embed(params.tensors, emb)
     observed = ~missing_mask(table).matrix
     labels = ["" if v is None else v for v in table.column(label_idx, range(table.n_rows))]
-    dim = embedder.embed_dim
+    dim = emb.shape[2]  # the MLP's output width is the model's, not n_qubits
+    keys = ["row_id", "label"] if mode == "row_mean" else ["row_id", "column_name", "label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys + [f"e_{i}" for i in range(dim)])
         if mode == "row_mean":
-            writer.writerow(["row_id", "label"] + [f"e_{i}" for i in range(dim)])
             for r in range(table.n_rows):
                 cells = emb[r][observed[r]]
                 mean = cells.mean(axis=0) if cells.size else np.zeros(dim)
                 writer.writerow([r, labels[r]] + [format(v, ".17g") for v in mean])
         else:
-            writer.writerow(
-                ["row_id", "column_name", "label"] + [f"e_{i}" for i in range(dim)]
-            )
             for r in range(table.n_rows):
                 for c in range(schema.n_columns):
                     if not observed[r, c]:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import CategoricalColumnStats, PreprocessStats
+from .encoding import PreprocessStats
 from .errors import ConfigError, ContractViolation
 from .rng import INIT, substream
-from .tabular import ColumnKind, DatasetSchema
+from .tabular import ColumnKind, ColumnSpec, DatasetSchema
 
 LN_EPS = 1e-5
 ALL_ROWS = slice(None)  # every row or token: a view, no copy
@@ -44,7 +44,7 @@ class ModelConfig:
     mlp_hidden: int = 16
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "d_ff", "mlp_hidden"):
+        for name in ("d_model", "n_heads", "d_ff", "embed_dim", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_blocks < 0:
@@ -55,35 +55,19 @@ class ModelConfig:
             )
 
 
-@dataclass(frozen=True)
-class ColumnHead:
-    """Head signature for one column: numeric scalar or categorical softmax."""
-
-    name: str
-    kind: ColumnKind
-    vocabulary: tuple[str, ...] | None = None
-
-
-def column_heads(schema: DatasetSchema, stats: PreprocessStats) -> tuple[ColumnHead, ...]:
-    heads = []
-    for spec in schema.columns:
-        if spec.kind == ColumnKind.CATEGORICAL:
-            col_stats = stats.for_column(spec.name)
-            assert isinstance(col_stats, CategoricalColumnStats)
-            heads.append(ColumnHead(spec.name, spec.kind, col_stats.vocabulary))
-        else:
-            heads.append(ColumnHead(spec.name, spec.kind))
-    return tuple(heads)
-
-
 @dataclass
 class ModelParams:
     """All trainable tensors, addressed by dotted names in a fixed order."""
 
     config: ModelConfig
-    columns: tuple[ColumnHead, ...]
+    columns: tuple[ColumnSpec, ...]  # the schema's columns, one head each
     tensors: dict[str, np.ndarray]
-    mlp_d_in: int = 0  # > 0 when the trainable MLP embedder is part of the model
+
+    @property
+    def mlp_d_in(self) -> int:
+        """Input width of the trainable MLP embedder; 0 when the model has none."""
+        w1 = self.tensors.get("mlp.w1")
+        return 0 if w1 is None else w1.shape[0]
 
     @property
     def with_mlp(self) -> bool:
@@ -92,14 +76,6 @@ class ModelParams:
     @property
     def n_parameters(self) -> int:
         return sum(int(t.size) for t in self.tensors.values())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            self.columns,
-            {k: v.copy() for k, v in self.tensors.items()},
-            self.mlp_d_in,
-        )
 
     def zero_like_tensors(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
@@ -115,7 +91,6 @@ def init_params(
     """Seeded init: weights uniform +-1/sqrt(fan_in), biases and mask vector zero."""
     rng = substream(seed, INIT)
     d = config.d_model
-    heads = column_heads(schema, stats)
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
@@ -124,7 +99,7 @@ def init_params(
     tensors: dict[str, np.ndarray] = {}
     tensors["in_proj.w"] = uniform((config.embed_dim, d), config.embed_dim)
     tensors["mask_emb"] = np.zeros(d)
-    tensors["col_emb"] = uniform((len(heads), d), d)
+    tensors["col_emb"] = uniform((schema.n_columns, d), d)
     for i in range(config.n_blocks):
         p = f"block{i}."
         tensors[p + "ln1.scale"] = np.ones(d)
@@ -139,20 +114,20 @@ def init_params(
         tensors[p + "ffn.b1"] = np.zeros(config.d_ff)
         tensors[p + "ffn.w2"] = uniform((config.d_ff, d), config.d_ff)
         tensors[p + "ffn.b2"] = np.zeros(d)
-    for head in heads:
-        if head.kind == ColumnKind.NUMERIC:
-            tensors[f"head.num.{head.name}.w"] = uniform((d,), d)
-            tensors[f"head.num.{head.name}.b"] = np.zeros(())
-        elif head.kind == ColumnKind.CATEGORICAL:
-            v = len(head.vocabulary)
-            tensors[f"head.cat.{head.name}.w"] = uniform((v, d), d)
-            tensors[f"head.cat.{head.name}.b"] = np.zeros(v)
+    for spec in schema.columns:
+        if spec.kind == ColumnKind.NUMERIC:
+            tensors[f"head.num.{spec.name}.w"] = uniform((d,), d)
+            tensors[f"head.num.{spec.name}.b"] = np.zeros(())
+        elif spec.kind == ColumnKind.CATEGORICAL:
+            v = len(stats.for_column(spec.name).vocabulary)
+            tensors[f"head.cat.{spec.name}.w"] = uniform((v, d), d)
+            tensors[f"head.cat.{spec.name}.b"] = np.zeros(v)
     if mlp_d_in > 0:
         tensors["mlp.w1"] = uniform((mlp_d_in, config.mlp_hidden), mlp_d_in)
         tensors["mlp.b1"] = np.zeros(config.mlp_hidden)
         tensors["mlp.w2"] = uniform((config.mlp_hidden, config.embed_dim), config.mlp_hidden)
         tensors["mlp.b2"] = np.zeros(config.embed_dim)
-    return ModelParams(config, heads, tensors, mlp_d_in)
+    return ModelParams(config, schema.columns, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +389,14 @@ def head_outputs(params: ModelParams, hidden: np.ndarray, positions: np.ndarray)
     t = params.tensors
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for col, rows, _ in _group_by_column(positions):
-        head = params.columns[col]
+        spec = params.columns[col]
         h = hidden[rows, col]
-        if head.kind == ColumnKind.NUMERIC:
-            preds = h @ t[f"head.num.{head.name}.w"] + t[f"head.num.{head.name}.b"]
-        elif head.kind == ColumnKind.CATEGORICAL:
-            preds = h @ t[f"head.cat.{head.name}.w"].T + t[f"head.cat.{head.name}.b"]
+        if spec.kind == ColumnKind.NUMERIC:
+            preds = h @ t[f"head.num.{spec.name}.w"] + t[f"head.num.{spec.name}.b"]
+        elif spec.kind == ColumnKind.CATEGORICAL:
+            preds = h @ t[f"head.cat.{spec.name}.w"].T + t[f"head.cat.{spec.name}.b"]
         else:
-            raise ContractViolation(f"column {head.name!r} is text and has no head")
+            raise ContractViolation(f"column {spec.name!r} is text and has no head")
         out[col] = (rows, preds)
     return out
 
@@ -436,23 +411,23 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
 
     mse_sum = 0.0
     for col, rows, sel in _group_by_column(batch.numeric_pos):
-        head = params.columns[col]
-        w = params.tensors[f"head.num.{head.name}.w"]
-        b = params.tensors[f"head.num.{head.name}.b"]
+        spec = params.columns[col]
+        w = params.tensors[f"head.num.{spec.name}.w"]
+        b = params.tensors[f"head.num.{spec.name}.b"]
         h = hidden[rows, col]
         preds = h @ w + b
         err = preds - batch.numeric_targets[sel]
         mse_sum += float(err @ err)
         d_pred = (2.0 * w_numeric / kn) * err
         d_hidden[rows, col] += d_pred[:, None] * w[None, :]
-        grads[f"head.num.{head.name}.w"] = d_pred @ h
-        grads[f"head.num.{head.name}.b"] = np.asarray(d_pred.sum())
+        grads[f"head.num.{spec.name}.w"] = d_pred @ h
+        grads[f"head.num.{spec.name}.b"] = np.asarray(d_pred.sum())
 
     ce_sum = 0.0
     for col, rows, sel in _group_by_column(batch.categorical_pos):
-        head = params.columns[col]
-        w = params.tensors[f"head.cat.{head.name}.w"]
-        b = params.tensors[f"head.cat.{head.name}.b"]
+        spec = params.columns[col]
+        w = params.tensors[f"head.cat.{spec.name}.w"]
+        b = params.tensors[f"head.cat.{spec.name}.b"]
         h = hidden[rows, col]
         logits = h @ w.T + b
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -463,8 +438,8 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
         probs[np.arange(len(rows)), targets] -= 1.0
         d_logits = (w_categorical / kc) * probs
         d_hidden[rows, col] += d_logits @ w
-        grads[f"head.cat.{head.name}.w"] = d_logits.T @ h
-        grads[f"head.cat.{head.name}.b"] = d_logits.sum(axis=0)
+        grads[f"head.cat.{spec.name}.w"] = d_logits.T @ h
+        grads[f"head.cat.{spec.name}.b"] = d_logits.sum(axis=0)
 
     mse = mse_sum / kn if kn else 0.0
     ce = ce_sum / kc if kc else 0.0
@@ -584,7 +559,7 @@ def predict_masked(params: ModelParams, batch: Batch):
     Returns {column: (batch rows, predictions)}; numeric predictions live
     in normalized target space, categorical predictions are logits.
     """
-    text = [j for j, head in enumerate(params.columns) if head.kind == ColumnKind.TEXT]
+    text = [j for j, spec in enumerate(params.columns) if spec.kind == ColumnKind.TEXT]
     masked = batch.token_masked
     rows, cols = np.nonzero(masked & ~np.isin(np.arange(masked.shape[1]), text))
     hidden, _ = _forward(params, batch, False, rows * masked.shape[1] + cols)

@@ -30,7 +30,6 @@ from .encoding import (
 from .errors import CheckpointError, ConfigError, FitError, TrainingDiverged
 from .model import (
     Batch,
-    ColumnHead,
     ModelConfig,
     ModelParams,
     init_params,
@@ -51,6 +50,9 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
 IMPUTE_CLAMP_MARGIN = 0.1  # fraction of the fitted range allowed beyond min/max
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,6 @@ class TrainConfig:
     epochs: int = 30
     mask_rate: float = 0.15
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     numeric_loss_weight: float = 1.0
     categorical_loss_weight: float = 1.0
 
@@ -102,21 +101,21 @@ def adam_step(
 
     ``m``, ``v`` and the tensors are overwritten, not rebound, with the
     operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
-    w = w - lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order, so the
-    trajectory is bitwise that of the out-of-place formula. ``grads`` is
-    only read.
+    w = w - lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order (b1, b2, eps:
+    the ``ADAM_*`` constants), so the trajectory is bitwise that of the
+    out-of-place formula. ``grads`` is only read.
     """
     state.t += 1
-    bc1 = 1.0 - config.beta1**state.t
-    bc2 = 1.0 - config.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.tensors.items():
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 @dataclass
@@ -287,9 +286,7 @@ class CheckpointBundle:
     schema: DatasetSchema
     variant: EmbedderVariant
     embed_seed: int
-    n_qubits: int
     n_layers: int
-    text_dim: int
 
     def build_embedder(self, text_embeddings=None) -> CellEmbedder:
         return CellEmbedder(
@@ -297,7 +294,7 @@ class CheckpointBundle:
             self.stats,
             self.variant,
             seed=self.embed_seed,
-            n_qubits=self.n_qubits,
+            n_qubits=self.params.config.embed_dim,
             n_layers=self.n_layers,
             text_embeddings=text_embeddings,
         )
@@ -352,15 +349,10 @@ def _savez_deterministic(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def save_checkpoint(path, bundle: CheckpointBundle) -> None:
-    """Single-file npz: version + schema + stats + embedder recipe + tensors."""
+    """Single-file npz: version + schema + stats + embedder recipe + tensors, nothing derivable."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(bundle.params.config),
-        "mlp_d_in": bundle.params.mlp_d_in,
-        "columns": [
-            [h.name, h.kind.value, list(h.vocabulary) if h.vocabulary else None]
-            for h in bundle.params.columns
-        ],
         "schema": {
             "name": bundle.schema.name,
             "missing_token": bundle.schema.missing_token,
@@ -370,9 +362,7 @@ def save_checkpoint(path, bundle: CheckpointBundle) -> None:
         "embedder": {
             "variant": bundle.variant.value,
             "seed": bundle.embed_seed,
-            "n_qubits": bundle.n_qubits,
             "n_layers": bundle.n_layers,
-            "text_dim": bundle.text_dim,
         },
     }
     arrays: dict[str, np.ndarray] = {"__checkpoint_meta__": np.array(json.dumps(meta))}
@@ -380,42 +370,73 @@ def save_checkpoint(path, bundle: CheckpointBundle) -> None:
     _savez_deterministic(path, arrays)
 
 
+# Derivable metadata that earlier files also stored; read by nothing.
+_IGNORED_META = {"": ("columns", "mlp_d_in"), "embedder": ("n_qubits", "text_dim")}
+
+
+def _meta_entry(meta: dict, names: tuple[str, ...], section: str = "") -> list:
+    """The values of ``names`` in one metadata section; any other key is an error."""
+    unknown = set(meta) - set(names) - set(_IGNORED_META.get(section, ()))
+    if unknown:
+        raise TypeError(f"unknown key {min(unknown)!r} in {section or 'the metadata'}")
+    return [meta[name] for name in names]
+
+
 def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> CheckpointBundle:
-    """Load a checkpoint; verifies the schema signature when one is given."""
+    """Load a checkpoint; verifies the schema signature when one is given.
+
+    Malformed metadata, or tensors it does not imply, raise ``CheckpointError``.
+    """
     with np.load(path, allow_pickle=False) as archive:
         if "__checkpoint_meta__" not in archive:
             raise CheckpointError(f"{path}: not a model checkpoint")
-        meta = json.loads(str(archive["__checkpoint_meta__"]))
+        meta_text = str(archive["__checkpoint_meta__"])
+        tensors = {
+            k[len("tensor/"):]: archive[k] for k in archive.files if k.startswith("tensor/")
+        }
+    try:
+        meta = json.loads(meta_text)
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {meta.get('format_version')}"
             )
-        tensors = {
-            k[len("tensor/"):]: archive[k] for k in archive.files if k.startswith("tensor/")
-        }
-    schema = DatasetSchema(
-        tuple(
-            ColumnSpec(name, ColumnKind(kind)) for name, kind in meta["schema"]["columns"]
-        ),
-        missing_token=meta["schema"]["missing_token"],
-        name=meta["schema"]["name"],
-    )
-    if expected_schema is not None:
-        ours = [(c.name, c.kind.value) for c in expected_schema.columns]
-        theirs = meta["schema"]["columns"]
-        theirs = [(n, k) for n, k in theirs]
-        if ours != theirs:
+        _, model_config, schema_meta, stats_meta, embedder_meta = _meta_entry(
+            meta, ("format_version", "model_config", "schema", "stats", "embedder")
+        )
+        schema_name, missing_token, columns = _meta_entry(
+            schema_meta, ("name", "missing_token", "columns"), "schema"
+        )
+        schema = DatasetSchema(
+            tuple(ColumnSpec(name, ColumnKind(kind)) for name, kind in columns),
+            missing_token=missing_token,
+            name=schema_name,
+        )
+        if expected_schema is not None and expected_schema.columns != schema.columns:
+            ours = [(c.name, c.kind.value) for c in expected_schema.columns]
+            theirs = [(c.name, c.kind.value) for c in schema.columns]
             raise CheckpointError(
                 f"{path}: checkpoint schema {theirs} does not match the current "
                 f"schema {ours}"
             )
-    columns = tuple(
-        ColumnHead(name, ColumnKind(kind), tuple(vocab) if vocab else None)
-        for name, kind, vocab in meta["columns"]
-    )
-    config = ModelConfig(**meta["model_config"])
-    stats = _stats_from_json(meta["stats"])
-    expected = init_params(schema, stats, config, seed=0, mlp_d_in=meta["mlp_d_in"]).tensors
+        variant, embed_seed, n_layers = _meta_entry(
+            embedder_meta, ("variant", "seed", "n_layers"), "embedder"
+        )
+        config = ModelConfig(**model_config)
+        stats = _stats_from_json(stats_meta)
+        bundle = CheckpointBundle(
+            params=ModelParams(config=config, columns=schema.columns, tensors=tensors),
+            stats=stats,
+            schema=schema,
+            variant=EmbedderVariant(variant),
+            embed_seed=embed_seed,
+            n_layers=n_layers,
+        )
+        mlp_d_in = bundle.build_embedder().mlp_d_in
+        expected = init_params(schema, stats, config, seed=0, mlp_d_in=mlp_d_in).tensors
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})"
+        ) from None
     for name, reference in expected.items():
         if name not in tensors or tensors[name].shape != reference.shape:
             found = tensors[name].shape if name in tensors else "missing"
@@ -425,16 +446,4 @@ def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> Check
     extra = [name for name in tensors if name not in expected]
     if extra:
         raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r}")
-    params = ModelParams(
-        config=config, columns=columns, tensors=tensors, mlp_d_in=meta["mlp_d_in"]
-    )
-    return CheckpointBundle(
-        params=params,
-        stats=stats,
-        schema=schema,
-        variant=EmbedderVariant(meta["embedder"]["variant"]),
-        embed_seed=meta["embedder"]["seed"],
-        n_qubits=meta["embedder"]["n_qubits"],
-        n_layers=meta["embedder"]["n_layers"],
-        text_dim=meta["embedder"]["text_dim"],
-    )
+    return bundle

@@ -326,7 +326,6 @@ def test_criterion_10_ablation_ordering():
         seeds=(0, 1, 2, 3, 4),
         model=ModelConfig(),
         train=TrainConfig(epochs=30, batch_size=32, learning_rate=1e-3),
-        n_qubits=8,
         n_layers=2,
         threads=2,
     )
@@ -384,7 +383,6 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         seeds=(0, 1),
         model=ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, embed_dim=4),
         train=TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3),
-        n_qubits=4,
     )
     run_experiment(config, out_dir=tmp_path / "first")
     run_experiment(config, out_dir=tmp_path / "second")

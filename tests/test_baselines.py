@@ -10,7 +10,7 @@ from qimpute.baselines import (
     knn_impute,
     mean_mode_impute,
 )
-from qimpute.errors import FitError
+from qimpute.errors import ConfigError, FitError
 from qimpute.tabular import (
     ColumnKind,
     ColumnSpec,
@@ -286,3 +286,18 @@ def test_baseline_config_validation():
         BaselineConfig(k=0)
     with pytest.raises(ValueError):
         BaselineConfig(ridge_lambda=0.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ridge_lambda", float("inf")),
+        ("tolerance", float("nan")),
+        ("tolerance", float("inf")),
+        ("tolerance", -1.0),
+    ],
+)
+def test_baseline_config_rejects_non_finite_or_negative(field, value):
+    # nan or a negative tolerance never converges; an infinite lambda gives nan fills
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        BaselineConfig(**{field: value})

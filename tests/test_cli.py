@@ -152,7 +152,9 @@ def test_train_impute_round_trip(tmp_path):
         assert line.split(",")[bp] != ""
 
 
-def test_impute_tampered_checkpoint_single_line_error(tmp_path, capsys):
+def tampered_impute(tmp_path, capsys, tamper):
+    """Exit code and stderr of ``impute`` with a small checkpoint after
+    ``tamper(meta, arrays)`` rewrote it."""
     data = tmp_path / "d"
     main(["datagen", "--rows", "20", "--seed", "3", "--out", str(data)])
     model_dir = tmp_path / "model"
@@ -164,17 +166,48 @@ def test_impute_tampered_checkpoint_single_line_error(tmp_path, capsys):
     path = model_dir / "model.npz"
     with np.load(path, allow_pickle=False) as archive:
         arrays = {k: archive[k] for k in archive.files}
-    arrays["tensor/in_proj.w"] = np.zeros((3, 8))
+    meta = json.loads(str(arrays["__checkpoint_meta__"]))
+    tamper(meta, arrays)
+    arrays["__checkpoint_meta__"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
     capsys.readouterr()
     code = main([
         "impute", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
         "--model", str(path), "--out", str(tmp_path / "imp"),
     ])
+    return code, capsys.readouterr().err
+
+
+def test_impute_tampered_checkpoint_single_line_error(tmp_path, capsys):
+    def wrong_shape(meta, arrays):
+        arrays["tensor/in_proj.w"] = np.zeros((3, 8))
+
+    code, err = tampered_impute(tmp_path, capsys, wrong_shape)
     assert code == 1
-    err = capsys.readouterr().err
     assert err.startswith("qimpute: error:") and "'in_proj.w'" in err
     assert len(err.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda meta, arrays: meta.pop("stats"), "KeyError: 'stats'"),
+        (
+            lambda meta, arrays: meta["model_config"].update(bogus=1),
+            "unexpected keyword argument 'bogus'",
+        ),
+    ],
+    ids=["no_stats", "unknown_model_config_key"],
+)
+def test_impute_malformed_checkpoint_metadata_single_line_error(
+    tmp_path, capsys, tamper, message
+):
+    code, err = tampered_impute(tmp_path, capsys, tamper)
+    assert code == 1
+    assert err.startswith("qimpute: error:") and "malformed checkpoint metadata" in err
+    assert message in err
+    assert len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "imp").exists()
 
 
 def test_train_checkpoint_byte_identical(tmp_path):
@@ -346,7 +379,8 @@ def test_bad_config_key_reports_error(tmp_path, capsys):
     "line",
     ["train.lr = nan", "model.n_heads = 3", "dataset.rows = 0", "seeds = -1",
      "quantum.n_qubits = 0", "quantum.n_layers = 0", "text.dim = 0", "model.d_model = 0",
-     "model.d_ff = 0", "model.n_heads = 0", "baseline.ridge_lambda = nan"],
+     "model.d_ff = 0", "model.n_heads = 0", "baseline.ridge_lambda = nan",
+     "baseline.ridge_lambda = inf", "baseline.tolerance = nan", "baseline.tolerance = -1"],
 )
 def test_invalid_config_value_single_line_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

@@ -29,6 +29,7 @@ from qimpute.tabular import (
     DatasetSchema,
     Mask,
     Table,
+    empty_mask,
     missing_mask,
     save_csv,
     save_schema,
@@ -48,7 +49,6 @@ def fast_config(**overrides):
         seeds=(0, 1),
         model=FAST_MODEL,
         train=FAST_TRAIN,
-        n_qubits=4,
         n_layers=2,
     )
     defaults.update(overrides)
@@ -282,6 +282,16 @@ def test_csv_dataset_kind(tmp_path):
     assert ridge.rmse < report.results[0].per_seed[0].rmse  # ridge beats mean here
 
 
+def test_the_model_embed_dim_is_the_embedding_width():
+    # FAST_MODEL is 4 wide; the fixed-embedding variants must embed with 4 qubits.
+    config = fast_config(n_rows=30, methods=("quantum_iqp", "random_projection"))
+    assert config.model.embed_dim == 4
+    report = run_experiment(config)
+    for result in report.results:
+        assert [s.error for s in result.per_seed] == [None, None], result.method
+        assert all(s.rmse is not None and s.macro_f1 is not None for s in result.per_seed)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         fast_config(methods=("nope",))
@@ -400,3 +410,23 @@ def test_export_classical_mlp_cell_matches_forward(tmp_path):
             table, split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP,
             seed=0, label_column="diagnosis", path=tmp_path / "x.csv", n_qubits=4,
         )
+
+
+@pytest.mark.parametrize("mode", ["row_mean", "cell"])
+def test_export_classical_mlp_rows_are_as_wide_as_the_header(tmp_path, mode):
+    # The MLP's output width is the model's embed_dim (4), whatever n_qubits says.
+    split = export_setup()
+    embedder = CellEmbedder(split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP, seed=0)
+    params = train(
+        split.working, empty_mask(split.working), split.schema, split.stats, embedder,
+        FAST_MODEL, TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3),
+    ).params
+    path = tmp_path / "emb.csv"
+    export_embeddings(
+        split.working, split.schema, split.stats, EmbedderVariant.CLASSICAL_MLP,
+        seed=0, label_column="diagnosis", path=path, mode=mode, params=params,
+    )
+    lines = path.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    assert [h for h in header if h.startswith("e_")] == [f"e_{i}" for i in range(4)]
+    assert all(len(line.split(",")) == len(header) for line in lines[1:])

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 import qimpute.model as model_module
 from qimpute.encoding import fit_preprocessor
-from qimpute.errors import ContractViolation
+from qimpute.errors import ConfigError, ContractViolation
 from qimpute.model import (
     Batch,
     ModelConfig,
     _column_sums,
     _row_sums,
     _weight_grad,
-    column_heads,
     forward,
     head_outputs,
     init_params,
@@ -355,9 +354,17 @@ def test_mask_embedding_zero_init():
 
 
 def test_column_heads_vocabularies():
-    heads = column_heads(SCHEMA, tiny_stats())
-    assert heads[2].vocabulary == ("a", "b")
-    assert heads[0].vocabulary is None
+    params = tiny_params()
+    assert params.columns == SCHEMA.columns
+    assert params.tensors["head.cat.c1.w"].shape == (2, TINY.d_model)  # ("a", "b")
+    assert params.tensors["head.cat.c2.w"].shape == (3, TINY.d_model)  # ("x", "y", "z")
+    assert params.tensors["head.num.n1.w"].shape == (TINY.d_model,)
+
+
+@pytest.mark.parametrize("embed_dim", [0, -1])
+def test_model_config_rejects_an_empty_embedding(embed_dim):
+    with pytest.raises(ConfigError, match="embed_dim must be >= 1"):
+        ModelConfig(embed_dim=embed_dim)
 
 
 def test_predict_masked_excludes_text():

@@ -1,6 +1,9 @@
 """Tests for Adam, the training loop, imputation, and checkpoints."""
 
+import json
 import logging
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ from qimpute.tabular import (
     inject_mcar,
 )
 from qimpute.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     CheckpointBundle,
     TrainConfig,
@@ -112,16 +118,16 @@ def test_adam_in_place_matches_out_of_place_formula():
         adam_step(params, grads, state, config)
         for name, g in grads.items():
             assert np.array_equal(g, before[name]), name  # grads are only read
-        bc1 = 1.0 - config.beta1**step
-        bc2 = 1.0 - config.beta2**step
+        bc1 = 1.0 - ADAM_BETA1**step
+        bc2 = 1.0 - ADAM_BETA2**step
         for name in ref:
             g = before[name]
-            ref_m[name] = config.beta1 * ref_m[name] + (1.0 - config.beta1) * g
-            ref_v[name] = config.beta2 * ref_v[name] + (1.0 - config.beta2) * (g * g)
+            ref_m[name] = ADAM_BETA1 * ref_m[name] + (1.0 - ADAM_BETA1) * g
+            ref_v[name] = ADAM_BETA2 * ref_v[name] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = ref_m[name] / bc1
             v_hat = ref_v[name] / bc2
             ref[name] = ref[name] - config.learning_rate * m_hat / (
-                np.sqrt(v_hat) + config.epsilon
+                np.sqrt(v_hat) + ADAM_EPSILON
             )
     assert state.t == 3
     for name in ref:
@@ -328,8 +334,7 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize(
     "field",
-    ["learning_rate", "mask_rate", "beta1", "beta2", "epsilon",
-     "numeric_loss_weight", "categorical_loss_weight"],
+    ["learning_rate", "mask_rate", "numeric_loss_weight", "categorical_loss_weight"],
 )
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_train_config_rejects_non_finite(field, bad):
@@ -396,20 +401,34 @@ def test_impute_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip(tmp_path):
-    table, mask, stats, embedder, params = trained_toy()
+def toy_checkpoint(tmp_path, table, stats, embedder, params):
+    """Save a toy model as ``tmp_path / "model.npz"`` and return that path."""
+    path = tmp_path / "model.npz"
     bundle = CheckpointBundle(
         params=params,
         stats=stats,
         schema=table.schema,
         variant=embedder.variant,
         embed_seed=embedder.seed,
-        n_qubits=embedder.n_qubits,
         n_layers=embedder.n_layers,
-        text_dim=16,
     )
-    path = tmp_path / "model.npz"
     save_checkpoint(path, bundle)
+    return path
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply ``edit(meta, arrays)`` to a saved checkpoint and write it back."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(str(arrays["__checkpoint_meta__"]))
+    edit(meta, arrays)
+    arrays["__checkpoint_meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def test_checkpoint_round_trip(tmp_path):
+    table, mask, stats, embedder, params = trained_toy()
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
     loaded = load_checkpoint(path, expected_schema=table.schema)
     for name in params.tensors:
         assert np.array_equal(loaded.params.tensors[name], params.tensors[name])
@@ -425,18 +444,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_schema_mismatch(tmp_path):
     table, mask, stats, embedder, params = trained_toy()
-    bundle = CheckpointBundle(
-        params=params,
-        stats=stats,
-        schema=table.schema,
-        variant=embedder.variant,
-        embed_seed=embedder.seed,
-        n_qubits=embedder.n_qubits,
-        n_layers=embedder.n_layers,
-        text_dim=16,
-    )
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, bundle)
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
     other = DatasetSchema(
         (ColumnSpec("different", ColumnKind.NUMERIC),), name="other"
     )
@@ -455,24 +463,97 @@ def test_checkpoint_schema_mismatch(tmp_path):
 )
 def test_checkpoint_rejects_mismatched_tensors(tmp_path, name, value, message):
     table, mask, stats, embedder, params = trained_toy(epochs=1)
-    bundle = CheckpointBundle(
-        params=params,
-        stats=stats,
-        schema=table.schema,
-        variant=embedder.variant,
-        embed_seed=embedder.seed,
-        n_qubits=embedder.n_qubits,
-        n_layers=embedder.n_layers,
-        text_dim=16,
-    )
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, bundle)
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    if value is None:
-        del arrays[f"tensor/{name}"]
-    else:
-        arrays[f"tensor/{name}"] = value
-    np.savez(path, **arrays)
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+
+    def tamper(meta, arrays):
+        if value is None:
+            del arrays[f"tensor/{name}"]
+        else:
+            arrays[f"tensor/{name}"] = value
+
+    rewrite_checkpoint(path, tamper)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_stores_nothing_derivable(tmp_path):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["__checkpoint_meta__"]))
+    assert sorted(meta) == ["embedder", "format_version", "model_config", "schema", "stats"]
+    assert sorted(meta["embedder"]) == ["n_layers", "seed", "variant"]
+
+
+def test_checkpoint_ignores_the_derived_fields_older_files_stored(tmp_path):
+    # Older files also stored the heads, the MLP input width, the qubit count
+    # and the text width. A stale copy must not matter: here the heads rename
+    # a column that has held-out cells to impute.
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    clean = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    legacy = shutil.copy(clean, tmp_path / "legacy.npz")
+    numeric = table.schema.indices_of(ColumnKind.NUMERIC)
+    renamed = next(j for j in numeric if mask.matrix[:, j].any())
+
+    def add_legacy_fields(meta, arrays):
+        meta["columns"] = [
+            [
+                "renamed" if j == renamed else spec.name,
+                spec.kind.value,
+                list(stats.for_column(spec.name).vocabulary)
+                if spec.kind == ColumnKind.CATEGORICAL else None,
+            ]
+            for j, spec in enumerate(table.schema.columns)
+        ]
+        meta["mlp_d_in"] = 0
+        meta["embedder"].update(n_qubits=embedder.n_qubits, text_dim=16)
+
+    rewrite_checkpoint(legacy, add_legacy_fields)
+    hashes = []
+    for path in (clean, legacy):
+        bundle = load_checkpoint(path, expected_schema=table.schema)
+        imputed = impute_table(
+            table, mask, table.schema, bundle.stats, bundle.build_embedder(), bundle.params
+        )
+        hashes.append(imputed.content_hash())
+    assert hashes[0] == hashes[1]
+
+
+def test_classical_mlp_checkpoint_without_mlp_tensors_fails_at_load(tmp_path):
+    table, mask, stats, embedder = toy_setup(n_rows=40, variant=EmbedderVariant.CLASSICAL_MLP)
+    config = TrainConfig(epochs=1, batch_size=16, seed=4, learning_rate=1e-3)
+    params = train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config).params
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+
+    def drop_mlp(meta, arrays):
+        # An older file's own MLP width agreed with its tensors; the variant decides.
+        meta["mlp_d_in"] = 0
+        for name in [k for k in arrays if k.startswith("tensor/mlp.")]:
+            del arrays[name]
+
+    rewrite_checkpoint(path, drop_mlp)
+    with pytest.raises(CheckpointError, match="'mlp.w1' is missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda meta: meta.pop("stats"), r"KeyError: 'stats'\)"),
+        (lambda meta: meta["model_config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+        (lambda meta: meta["model_config"].update(d_model=0), "d_model must be >= 1"),
+        (lambda meta: meta.update(extra=1), "unknown key 'extra' in the metadata"),
+        (lambda meta: meta["embedder"].update(variant="bogus"), "'bogus' is not a valid"),
+        (lambda meta: meta["embedder"].pop("n_layers"), r"KeyError: 'n_layers'\)"),
+        (lambda meta: meta["stats"].pop("x1"), r"KeyError: 'x1'\)"),
+    ],
+    ids=["no_stats", "unknown_config_key", "bad_config_value", "unknown_key", "bad_variant",
+         "no_n_layers", "no_column_stats"],
+)
+def test_checkpoint_with_malformed_metadata_is_a_checkpoint_error(tmp_path, edit, message):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    rewrite_checkpoint(path, lambda meta, arrays: edit(meta))
+    prefix = re.escape(f"{path}: malformed checkpoint metadata (")
+    with pytest.raises(CheckpointError, match=prefix + ".*" + message):
         load_checkpoint(path)
