@@ -15,7 +15,6 @@ from .baselines import (
 )
 from .datasets import SyntheticDataset, make_toy_table, synth_healthcare_generate
 from .encoding import (
-    AngleProjection,
     CellEmbedder,
     EmbedderVariant,
     PreprocessStats,

@@ -3,10 +3,12 @@
 Subcommands cover the whole pipeline: ``datagen`` (synthetic healthcare
 data), ``mask`` (MCAR injection), ``train``, ``impute``, ``eval`` (the
 benchmark harness), ``ablate`` (embedding-variant ablation), and
-``export-embeddings``. Every run is fully specified by flags plus an
-optional key=value config file (flags win); there are no prompts. All
-randomness flows from --seed through named substreams. Failures exit
-nonzero with a single ``qimpute: error: ...`` line on stderr.
+``export-embeddings``. Every run is fully specified by flags plus, for
+``train``, ``eval`` and ``ablate``, an optional key=value config file
+(flags win); there are no prompts. All randomness flows from --seed (for
+``eval`` and ``ablate``, the config's seeds) through named substreams.
+Each command accepts only the flags it reads. Failures exit nonzero with a
+single ``qimpute: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -53,17 +55,25 @@ VARIANTS = tuple(v.value for v in EmbedderVariant)
 _EXPORT_DEFAULTS = {"variant": "quantum_iqp", "seed": 0, "n_qubits": 8, "n_layers": 2}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--config", type=Path, help="key=value config file")
+# The flags that only some commands read; each command declares its own.
+_OPTIONAL_FLAGS = {
+    "--seed": dict(type=int, default=0, help="root random seed"),
+    "--config": dict(type=Path, help="key=value config file"),
+    "--threads": dict(
+        type=int,
+        help="parallel (method, seed) workers; overrides the config file (default 1); "
+        "reruns at one value are byte-identical, transformer scores may differ in the "
+        "last digits between 1 and >1",
+    ),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--out and --verbose, plus the named ``_OPTIONAL_FLAGS``."""
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
-    parser.add_argument(
-        "--threads", type=int,
-        help="parallel (method, seed) workers for eval/ablate; overrides the config file "
-        "(default 1); reruns at one value are byte-identical, transformer scores may "
-        "differ in the last digits between 1 and >1",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,13 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="generate the synthetic healthcare dataset")
     p.add_argument("--rows", type=int, default=1000, dest="n_rows")
-    _add_common(p)
+    _add_common(p, "--seed")
 
     p = sub.add_parser("mask", help="inject MCAR missingness into a CSV")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--schema", type=Path, required=True)
     p.add_argument("--rate", type=float, default=0.2)
-    _add_common(p)
+    _add_common(p, "--seed")
 
     p = sub.add_parser("train", help="train the transformer imputer")
     p.add_argument("--data", type=Path, required=True)
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int)
     p.add_argument("--n-qubits", type=int)
     p.add_argument("--n-layers", type=int)
-    _add_common(p)
+    _add_common(p, "--seed", "--config")
 
     p = sub.add_parser("impute", help="fill missing cells with a trained model")
     p.add_argument("--data", type=Path, required=True)
@@ -106,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("eval", help="run the benchmark harness from a config file")
-    _add_common(p)
+    _add_common(p, "--config", "--threads")
 
     p = sub.add_parser("ablate", help="embedding-variant ablation on identical masks")
-    _add_common(p)
+    _add_common(p, "--config", "--threads")
 
     p = sub.add_parser("export-embeddings", help="write labeled embedding CSV")
     p.add_argument("--data", type=Path, required=True)
@@ -126,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-qubits", type=int, help=f"default {_EXPORT_DEFAULTS['n_qubits']}")
     p.add_argument("--n-layers", type=int, help=f"default {_EXPORT_DEFAULTS['n_layers']}")
-    _add_common(p)
+    _add_common(p, "--seed")
     # None marks a flag not given, so that it can be checked against --model.
     p.set_defaults(**dict.fromkeys(_EXPORT_DEFAULTS))
 
@@ -134,9 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """The --config file's settings; --threads wins where the command takes it."""
     mapping = load_kv_config(args.config) if args.config else {}
     config = experiment_config_from_mapping(mapping)
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         config = replace(config, threads=args.threads)
     return config
 
@@ -191,22 +202,13 @@ def _cmd_train(args) -> int:
     table = load_csv(args.data, schema)
     model_config, train_config, n_layers, text_dim = _train_configs(args)
     stats = fit_preprocessor(table, schema, text_dim=text_dim)
-    variant = EmbedderVariant(args.variant)
     embedder = CellEmbedder(
-        schema, stats, variant, seed=args.seed, n_qubits=model_config.embed_dim,
-        n_layers=n_layers,
+        schema, stats, EmbedderVariant(args.variant), seed=args.seed,
+        n_qubits=model_config.embed_dim, n_layers=n_layers,
     )
     result = train(table, empty_mask(table), schema, stats, embedder, model_config, train_config)
     args.out.mkdir(parents=True, exist_ok=True)
-    bundle = CheckpointBundle(
-        params=result.params,
-        stats=stats,
-        schema=schema,
-        variant=variant,
-        embed_seed=args.seed,
-        n_layers=n_layers,
-    )
-    save_checkpoint(args.out / "model.npz", bundle)
+    save_checkpoint(args.out / "model.npz", CheckpointBundle(result.params, embedder))
     with open(args.out / "loss_history.json", "w", encoding="utf-8") as fh:
         json.dump(result.loss_history, fh, indent=2)
         fh.write("\n")
@@ -221,9 +223,9 @@ def _cmd_impute(args) -> int:
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema)
     bundle = load_checkpoint(args.model, expected_schema=schema)
-    embedder = bundle.build_embedder()
+    embedder = bundle.embedder
     completed = impute_table(
-        table, empty_mask(table), schema, bundle.stats, embedder, bundle.params
+        table, empty_mask(table), schema, embedder.stats, embedder, bundle.params
     )
     args.out.mkdir(parents=True, exist_ok=True)
     save_csv(completed, args.out / "imputed.csv")
@@ -258,13 +260,10 @@ def _cmd_export(args) -> int:
     else:
         # Embed as the model was trained: its stats and embedder recipe.
         bundle = load_checkpoint(args.model, expected_schema=schema)
-        stats, params = bundle.stats, bundle.params
-        recipe = {
-            "variant": bundle.variant.value,
-            "seed": bundle.embed_seed,
-            "n_qubits": bundle.params.config.embed_dim,
-            "n_layers": bundle.n_layers,
-        }
+        embedder, params = bundle.embedder, bundle.params
+        stats = embedder.stats
+        recipe = {key: getattr(embedder, key) for key in _EXPORT_DEFAULTS}
+        recipe["variant"] = embedder.variant.value
         for key, flag in flags.items():
             if flag is not None and flag != recipe[key]:
                 raise ConfigError(

@@ -319,46 +319,29 @@ def encode_column(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleProjection:
-    """Fixed seeded linear map from classical features to circuit angles."""
+def make_angle_projection(seed: int, d_in: int, d_out: int, *keys: int) -> np.ndarray:
+    """Fixed seeded read-only (d_in, d_out) map from classical features to circuit angles.
 
-    matrix: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def d_in(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.matrix.shape[1]
-
-
-def make_angle_projection(seed: int, d_in: int, d_out: int, *keys: int) -> AngleProjection:
-    """Entries uniform on [-1, 1] scaled by 1/sqrt(d_in); bitwise-reproducible."""
+    Entries are uniform on [-1, 1] scaled by 1/sqrt(d_in); bitwise-reproducible.
+    """
     rng = substream(seed, PROJECTION, d_in, d_out, *keys)
     matrix = rng.uniform(-1.0, 1.0, size=(d_in, d_out)) / np.sqrt(d_in)
-    return AngleProjection(matrix=matrix, seed=seed)
+    matrix.setflags(write=False)
+    return matrix
 
 
-def project_to_angles(x_c: np.ndarray, proj: AngleProjection, n_layers: int) -> IqpParams:
+def project_to_angles(x_c: np.ndarray, matrix: np.ndarray, n_layers: int) -> IqpParams:
     """x -> angles: singles are the projected vector, pairs its outer products.
 
     The same angle set is replicated across all layers.
     """
     values = np.asarray(x_c)
-    if values.shape != (proj.d_in,):
+    d_in, n = matrix.shape
+    if values.shape != (d_in,):
         raise ValueError(
-            f"feature vector has shape {values.shape}, projection expects ({proj.d_in},)"
+            f"feature vector has shape {values.shape}, projection expects ({d_in},)"
         )
-    projected = values @ proj.matrix
-    n = proj.d_out
+    projected = values @ matrix
     iu = np.triu_indices(n, k=1)
     pairs = (projected[:, None] * projected[None, :])[iu]
     return IqpParams.replicated(projected, pairs, n_layers)
@@ -381,13 +364,13 @@ class CellEmbedder:
     """Per-cell embedding provider bound to a fitted preprocessor.
 
     For the fixed variants (quantum, random projection) embeddings are
-    deterministic functions of (schema, stats, seed, value) and are
-    memoized per (column, value). They are computed one batch per column,
-    and a cell's embedding does not depend on the batch it is computed in,
-    so :meth:`embed` and :meth:`embed_table` agree bitwise whatever the
-    order of calls. The trainable MLP variant has no fixed embedding: its
-    :meth:`embed_table` returns the padded classical vectors, and the
-    perceptron weights live in the model.
+    deterministic functions of (schema, stats, seed, value). Each call
+    embeds a column's distinct values once, as one batch, and a cell's
+    embedding does not depend on the batch it is computed in, so
+    :meth:`embed` and :meth:`embed_table` agree bitwise. The embedder holds
+    no state beyond what ``__init__`` sets. The trainable MLP variant has
+    no fixed embedding: its :meth:`embed_table` returns the padded
+    classical vectors, and the perceptron weights live in the model.
     """
 
     def __init__(
@@ -420,7 +403,7 @@ class CellEmbedder:
         self._proj: list[np.ndarray] = []
         if variant == EmbedderVariant.QUANTUM_IQP:
             self._proj = [
-                make_angle_projection(seed, width, n_qubits, j).matrix
+                make_angle_projection(seed, width, n_qubits, j)
                 for j, width in enumerate(self._widths)
             ]
         elif variant == EmbedderVariant.RANDOM_PROJECTION:
@@ -429,7 +412,6 @@ class CellEmbedder:
                 / np.sqrt(width)
                 for j, width in enumerate(self._widths)
             ]
-        self._cache: dict[tuple[int, CellValue], np.ndarray] = {}
 
     def classical_vector(self, row: int, col: int, value: CellValue) -> np.ndarray:
         """Classical features of one observed cell (one-row :func:`encode_column`)."""
@@ -476,9 +458,8 @@ class CellEmbedder:
     def _embed_column(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
         """(len(rows), n_qubits) embeddings of observed cells of one column.
 
-        The column's distinct uncached values, plus every cell with a
-        precomputed text override (those are never cached), are encoded and
-        embedded as one batch; all other cells are read from the memo.
+        Each distinct value, and each cell with a precomputed text override
+        on its own, is encoded and embedded once, as one batch.
         """
         if self.variant == EmbedderVariant.CLASSICAL_MLP:
             raise ContractViolation(
@@ -487,33 +468,23 @@ class CellEmbedder:
             )
         spec = self.schema.columns[col]
         overrides = self.text_embeddings if spec.kind == ColumnKind.TEXT else None
-        batch: list[tuple[int, CellValue]] = []
-        fresh: dict[CellValue, int] = {}  # uncached value -> batch slot
-        override_slot: dict[int, int] = {}  # cell position -> batch slot
-        for i, (r, v) in enumerate(zip(rows, values)):
-            if overrides is not None and overrides.lookup(r, spec.name) is not None:
-                override_slot[i] = len(batch)
-                batch.append((r, v))
-            elif (col, v) not in self._cache and v not in fresh:
-                fresh[v] = len(batch)
-                batch.append((r, v))
-        if batch:
-            x = self._encode(col, [r for r, _ in batch], [v for _, v in batch])
-            vectors = _project(x, self._proj[col])
-            if self.variant == EmbedderVariant.QUANTUM_IQP:
-                # The projection gives circuit angles. project_to_angles
-                # replicates one angle set over the layers, so the
-                # layer-summed angles are n_layers times that set.
-                angles = vectors
-                js, ks = np.triu_indices(self.n_qubits, k=1)
-                vectors = iqp_expectations(
-                    self.n_layers * angles, self.n_layers * (angles[:, js] * angles[:, ks])
-                )
-            for v, slot in fresh.items():
-                self._cache[(col, v)] = vectors[slot]
-        return np.stack(
-            [
-                vectors[override_slot[i]] if i in override_slot else self._cache[(col, v)]
-                for i, v in enumerate(values)
-            ]
-        )
+        # A cell with an override is keyed by its row, a tuple no value equals.
+        keys = [
+            v if overrides is None or overrides.lookup(r, spec.name) is None else (r,)
+            for r, v in zip(rows, values)
+        ]
+        slots: dict = {}
+        index = np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)
+        first = np.unique(index, return_index=True)[1]  # each slot's first cell
+        x = self._encode(col, [rows[i] for i in first], [values[i] for i in first])
+        vectors = _project(x, self._proj[col])
+        if self.variant == EmbedderVariant.QUANTUM_IQP:
+            # The projection gives circuit angles. project_to_angles
+            # replicates one angle set over the layers, so the
+            # layer-summed angles are n_layers times that set.
+            angles = vectors
+            js, ks = np.triu_indices(self.n_qubits, k=1)
+            vectors = iqp_expectations(
+                self.n_layers * angles, self.n_layers * (angles[:, js] * angles[:, ks])
+            )
+        return vectors[index]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -27,7 +28,7 @@ from .encoding import (
     PreprocessStats,
     TextColumnStats,
 )
-from .errors import CheckpointError, ConfigError, FitError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, ContractViolation, FitError, TrainingDiverged
 from .model import (
     Batch,
     ModelConfig,
@@ -279,25 +280,10 @@ def impute_table(
 
 @dataclass
 class CheckpointBundle:
-    """Everything needed to re-run imputation: params, stats, embedder recipe."""
+    """Everything needed to re-run imputation: the params and their embedder."""
 
     params: ModelParams
-    stats: PreprocessStats
-    schema: DatasetSchema
-    variant: EmbedderVariant
-    embed_seed: int
-    n_layers: int
-
-    def build_embedder(self, text_embeddings=None) -> CellEmbedder:
-        return CellEmbedder(
-            self.schema,
-            self.stats,
-            self.variant,
-            seed=self.embed_seed,
-            n_qubits=self.params.config.embed_dim,
-            n_layers=self.n_layers,
-            text_embeddings=text_embeddings,
-        )
+    embedder: CellEmbedder
 
 
 def _stats_to_json(stats: PreprocessStats) -> dict:
@@ -336,7 +322,6 @@ def _stats_from_json(data: dict) -> PreprocessStats:
 def _savez_deterministic(path, arrays: dict[str, np.ndarray]) -> None:
     """npz writer with fixed zip timestamps so identical inputs give identical bytes."""
     import io
-    import zipfile
 
     from numpy.lib import format as npformat
 
@@ -349,20 +334,30 @@ def _savez_deterministic(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def save_checkpoint(path, bundle: CheckpointBundle) -> None:
-    """Single-file npz: version + schema + stats + embedder recipe + tensors, nothing derivable."""
+    """Single-file npz: version + schema + stats + embedder recipe + tensors, nothing derivable.
+
+    An embedder holding precomputed text vectors is refused: the file cannot
+    record them, and the model would load without them.
+    """
+    embedder = bundle.embedder
+    if embedder.text_embeddings is not None:
+        raise ContractViolation(
+            "a model trained with precomputed text embeddings cannot be checkpointed: "
+            "the file does not record them"
+        )
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(bundle.params.config),
         "schema": {
-            "name": bundle.schema.name,
-            "missing_token": bundle.schema.missing_token,
-            "columns": [[c.name, c.kind.value] for c in bundle.schema.columns],
+            "name": embedder.schema.name,
+            "missing_token": embedder.schema.missing_token,
+            "columns": [[c.name, c.kind.value] for c in embedder.schema.columns],
         },
-        "stats": _stats_to_json(bundle.stats),
+        "stats": _stats_to_json(embedder.stats),
         "embedder": {
-            "variant": bundle.variant.value,
-            "seed": bundle.embed_seed,
-            "n_layers": bundle.n_layers,
+            "variant": embedder.variant.value,
+            "seed": embedder.seed,
+            "n_layers": embedder.n_layers,
         },
     }
     arrays: dict[str, np.ndarray] = {"__checkpoint_meta__": np.array(json.dumps(meta))}
@@ -387,13 +382,19 @@ def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> Check
 
     Malformed metadata, or tensors it does not imply, raise ``CheckpointError``.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        if "__checkpoint_meta__" not in archive:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        meta_text = str(archive["__checkpoint_meta__"])
-        tensors = {
-            k[len("tensor/"):]: archive[k] for k in archive.files if k.startswith("tensor/")
-        }
+    try:
+        # A file np.load cannot read as an archive (a CSV, a truncated zip, a
+        # bare .npy array) fails in one of these; a missing file stays an OSError.
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TypeError("not an archive")
+        with archive:
+            meta_text = str(archive["__checkpoint_meta__"])
+            tensors = {
+                k[len("tensor/"):]: archive[k] for k in archive.files if k.startswith("tensor/")
+            }
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        raise CheckpointError(f"{path}: not a model checkpoint") from None
     try:
         meta = json.loads(meta_text)
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -423,16 +424,11 @@ def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> Check
         )
         config = ModelConfig(**model_config)
         stats = _stats_from_json(stats_meta)
-        bundle = CheckpointBundle(
-            params=ModelParams(config=config, columns=schema.columns, tensors=tensors),
-            stats=stats,
-            schema=schema,
-            variant=EmbedderVariant(variant),
-            embed_seed=embed_seed,
-            n_layers=n_layers,
+        embedder = CellEmbedder(
+            schema, stats, EmbedderVariant(variant), seed=embed_seed,
+            n_qubits=config.embed_dim, n_layers=n_layers,
         )
-        mlp_d_in = bundle.build_embedder().mlp_d_in
-        expected = init_params(schema, stats, config, seed=0, mlp_d_in=mlp_d_in).tensors
+        expected = init_params(schema, stats, config, seed=0, mlp_d_in=embedder.mlp_d_in).tensors
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})"
@@ -446,4 +442,5 @@ def load_checkpoint(path, expected_schema: DatasetSchema | None = None) -> Check
     extra = [name for name in tensors if name not in expected]
     if extra:
         raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r}")
-    return bundle
+    params = ModelParams(config=config, columns=schema.columns, tensors=tensors)
+    return CheckpointBundle(params=params, embedder=embedder)

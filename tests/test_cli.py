@@ -210,6 +210,56 @@ def test_impute_malformed_checkpoint_metadata_single_line_error(
     assert not (tmp_path / "imp").exists()
 
 
+def write_not_a_checkpoint(tmp_path, data, kind):
+    """A file that np.load cannot read as a model archive, of the given kind."""
+    if kind == "csv":
+        return data / "data.csv"
+    if kind == "npy":
+        np.save(tmp_path / "model.npy", np.zeros(3))
+        return tmp_path / "model.npy"
+    path = tmp_path / "model.npz"
+    if kind == "garbage":
+        path.write_bytes(b"garbage")
+    else:  # a real checkpoint cut short
+        main([
+            "train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+            "--out", str(tmp_path), "--epochs", "1", "--d-model", "8", "--n-blocks", "1",
+            "--n-heads", "2", "--d-ff", "16", "--n-qubits", "4",
+        ])
+        path.write_bytes(path.read_bytes()[:2000])
+    return path
+
+
+@pytest.mark.parametrize("kind", ["csv", "garbage", "truncated", "npy"])
+def test_impute_from_a_file_that_is_not_a_checkpoint_single_line_error(tmp_path, capsys, kind):
+    data = tmp_path / "d"
+    main(["datagen", "--rows", "20", "--seed", "3", "--out", str(data)])
+    model = write_not_a_checkpoint(tmp_path, data, kind)
+    capsys.readouterr()
+    code = main([
+        "impute", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+        "--model", str(model), "--out", str(tmp_path / "imp"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"qimpute: error: {model}: not a model checkpoint\n"
+    assert not (tmp_path / "imp").exists()
+
+
+def test_impute_from_a_missing_checkpoint_is_an_os_error(tmp_path, capsys):
+    data = tmp_path / "d"
+    main(["datagen", "--rows", "20", "--seed", "3", "--out", str(data)])
+    capsys.readouterr()
+    code = main([
+        "impute", "--data", str(data / "data.csv"), "--schema", str(data / "schema.txt"),
+        "--model", str(tmp_path / "absent.npz"), "--out", str(tmp_path / "imp"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qimpute: error: [Errno 2] No such file or directory")
+    assert len(err.strip().split("\n")) == 1
+
+
 def test_train_checkpoint_byte_identical(tmp_path):
     data = tmp_path / "d"
     main(["datagen", "--rows", "25", "--seed", "4", "--out", str(data)])
@@ -322,7 +372,7 @@ def test_export_embeddings_with_model_uses_the_checkpoint(tmp_path):
     bundle = load_checkpoint(model, expected_schema=schema)
     expected = tmp_path / "expected.csv"
     export_embeddings(
-        load_csv(other / "data.csv", schema), schema, bundle.stats,
+        load_csv(other / "data.csv", schema), schema, bundle.embedder.stats,
         EmbedderVariant.CLASSICAL_MLP, seed=6, label_column="diagnosis", path=expected,
         n_qubits=4, n_layers=1, params=bundle.params,
     )
@@ -354,6 +404,38 @@ def test_unknown_flag_exits_nonzero(tmp_path):
         main(["datagen", "--bogus-flag", "1"])
     assert exc.value.code != 0
     assert not (tmp_path / "data.csv").exists()  # no partial outputs
+
+
+# (command, required arguments) and the shared flags each command does not read
+UNREAD_FLAGS = {
+    ("datagen", ()): ("--config", "--threads"),
+    ("mask", ("--data", "d.csv", "--schema", "s.txt")): ("--config", "--threads"),
+    ("export-embeddings", ("--data", "d.csv", "--schema", "s.txt", "--label-col", "y")): (
+        "--config", "--threads"
+    ),
+    ("train", ("--data", "d.csv", "--schema", "s.txt")): ("--threads",),
+    ("impute", ("--data", "d.csv", "--schema", "s.txt", "--model", "m.npz")): (
+        "--seed", "--config", "--threads"
+    ),
+    ("eval", ()): ("--seed",),
+    ("ablate", ()): ("--seed",),
+}
+
+
+@pytest.mark.parametrize(
+    "command,required,flag",
+    [(c, r, f) for (c, r), flags in UNREAD_FLAGS.items() for f in flags],
+    ids=[f"{c}{f}" for (c, _), flags in UNREAD_FLAGS.items() for f in flags],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, required, flag
+):
+    value = str(tmp_path / "exp.cfg") if flag == "--config" else "2"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_runtime_error_single_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for preprocessing, classical encoding, and the embedding variants."""
 
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -172,29 +173,26 @@ def test_hashing_nonzero_is_unit_norm():
 def test_projection_reconstructible_bitwise():
     a = make_angle_projection(7, 3, 8)
     b = make_angle_projection(7, 3, 8)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a, b)
     c = make_angle_projection(8, 3, 8)
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(a, c)
 
 
 def test_projection_entry_scale():
-    proj = make_angle_projection(0, 4, 8)
-    assert np.all(np.abs(proj.matrix) <= 1.0 / np.sqrt(4))
+    matrix = make_angle_projection(0, 4, 8)
+    assert np.all(np.abs(matrix) <= 1.0 / np.sqrt(4))
 
 
 def test_project_zero_vector_gives_zero_angles():
-    proj = make_angle_projection(1, 3, 4)
-    params = project_to_angles(np.zeros(3), proj, n_layers=2)
+    matrix = make_angle_projection(1, 3, 4)
+    params = project_to_angles(np.zeros(3), matrix, n_layers=2)
     assert np.all(params.singles == 0.0) and np.all(params.pairs == 0.0)
 
 
 def test_project_single_feature_direct():
-    from qimpute.encoding import AngleProjection
-
     matrix = np.zeros((1, 4))
     matrix[0, 0] = 1.0
-    proj = AngleProjection(matrix=matrix, seed=0)
-    params = project_to_angles(np.array([np.pi]), proj, n_layers=1)
+    params = project_to_angles(np.array([np.pi]), matrix, n_layers=1)
     assert params.singles[0, 0] == np.pi
     assert np.all(params.singles[0, 1:] == 0.0)
     assert np.all(params.pairs == 0.0)
@@ -202,10 +200,10 @@ def test_project_single_feature_direct():
 
 def test_project_matches_naive_matmul():
     rng = np.random.default_rng(5)
-    proj = make_angle_projection(3, 5, 6)
+    matrix = make_angle_projection(3, 5, 6)
     x = rng.uniform(0, np.pi, size=5)
-    params = project_to_angles(x, proj, n_layers=2)
-    naive = np.array([sum(x[i] * proj.matrix[i, j] for i in range(5)) for j in range(6)])
+    params = project_to_angles(x, matrix, n_layers=2)
+    naive = np.array([sum(x[i] * matrix[i, j] for i in range(5)) for j in range(6)])
     assert np.allclose(params.singles[0], naive, atol=1e-12)
     slot = 0
     for j in range(6):
@@ -216,9 +214,9 @@ def test_project_matches_naive_matmul():
 
 
 def test_project_dimension_mismatch():
-    proj = make_angle_projection(1, 3, 4)
+    matrix = make_angle_projection(1, 3, 4)
     with pytest.raises(ValueError, match="shape"):
-        project_to_angles(np.zeros(5), proj, n_layers=1)
+        project_to_angles(np.zeros(5), matrix, n_layers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +320,26 @@ def test_embed_table_matches_per_cell_oracle():
 
 
 def test_embed_table_counts_each_unseen_category_once(caplog):
-    # One warning per distinct (column, value) encoded: "zzz" and "yyy", with
-    # the repeated "zzz" and a second call served from the memo.
+    # One warning per distinct (column, value) encoded in a call: "zzz" and
+    # "yyy", the repeated "zzz" embedded once. Nothing is kept between calls.
     _, emb = make_embedder(EmbedderVariant.QUANTUM_IQP)
     table = make_unseen_table()
     with caplog.at_level(logging.WARNING, logger="qimpute.encoding"):
         emb.embed_table(table)
+        assert unknown_category_warnings(caplog) == 2
         emb.embed_table(table)
-    assert unknown_category_warnings(caplog) == 2
+    assert unknown_category_warnings(caplog) == 4
+
+
+@pytest.mark.parametrize("variant", list(EmbedderVariant))
+def test_embed_table_leaves_the_embedder_unchanged(variant):
+    _, emb = make_embedder(variant)
+    table = make_unseen_table()
+    before = pickle.dumps(emb)
+    first = emb.embed_table(table)
+    second = emb.embed_table(table)
+    assert pickle.dumps(emb) == before
+    assert np.array_equal(first, second)
 
 
 def test_classical_table_matches_classical_vector(caplog):
@@ -453,6 +463,21 @@ def test_text_override_on_one_row_of_a_repeated_value_sets_the_range():
     others = np.stack(hashed[:2] + hashed[3:])
     assert note.dim_max[0] == 5.0 and note.dim_min[1] == -5.0
     assert note.dim_min[0] == others[:, 0].min() and note.dim_max[1] == others[:, 1].max()
+
+
+def test_embed_table_embeds_an_overridden_cell_on_its_own():
+    table = Table(SCHEMA, [[float(r), "a", note] for r, note in enumerate(REPEATED_NOTES)])
+    # Rows 0, 2 and 6 hold the same text; only row 2's vector is overridden.
+    overrides = TextEmbeddings(dim=2, vectors={(2, "note"): np.array([5.0, -5.0])})
+    stats = fit_preprocessor(table, SCHEMA, text_embeddings=overrides)
+    emb = CellEmbedder(
+        SCHEMA, stats, EmbedderVariant.QUANTUM_IQP, seed=1, n_qubits=4,
+        text_embeddings=overrides,
+    )
+    out = emb.embed_table(table)[:, 2]
+    for r, note in enumerate(REPEATED_NOTES):
+        assert np.array_equal(out[r], emb.embed(r, 2, note))
+    assert np.array_equal(out[0], out[6]) and not np.array_equal(out[0], out[2])
 
 
 @pytest.mark.parametrize(

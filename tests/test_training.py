@@ -11,8 +11,8 @@ import pytest
 import qimpute.model as model_module
 import qimpute.training as training_module
 from qimpute.datasets import make_toy_table
-from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
-from qimpute.errors import CheckpointError, FitError, TrainingDiverged
+from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
+from qimpute.errors import CheckpointError, ContractViolation, FitError, TrainingDiverged
 from qimpute.model import Batch, LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -401,18 +401,10 @@ def test_impute_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def toy_checkpoint(tmp_path, table, stats, embedder, params):
+def toy_checkpoint(tmp_path, embedder, params):
     """Save a toy model as ``tmp_path / "model.npz"`` and return that path."""
     path = tmp_path / "model.npz"
-    bundle = CheckpointBundle(
-        params=params,
-        stats=stats,
-        schema=table.schema,
-        variant=embedder.variant,
-        embed_seed=embedder.seed,
-        n_layers=embedder.n_layers,
-    )
-    save_checkpoint(path, bundle)
+    save_checkpoint(path, CheckpointBundle(params=params, embedder=embedder))
     return path
 
 
@@ -428,23 +420,50 @@ def rewrite_checkpoint(path, edit):
 
 def test_checkpoint_round_trip(tmp_path):
     table, mask, stats, embedder, params = trained_toy()
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
     loaded = load_checkpoint(path, expected_schema=table.schema)
     for name in params.tensors:
         assert np.array_equal(loaded.params.tensors[name], params.tensors[name])
-    assert loaded.variant == embedder.variant
-    assert loaded.schema == table.schema
+    assert loaded.embedder.variant == embedder.variant
+    assert loaded.embedder.schema == table.schema
 
     again = impute_table(
-        table, mask, table.schema, loaded.stats, loaded.build_embedder(), loaded.params
+        table, mask, table.schema, loaded.embedder.stats, loaded.embedder, loaded.params
     )
     direct = impute_table(table, mask, table.schema, stats, embedder, params)
     assert again.content_hash() == direct.content_hash()
 
 
+def test_checkpoint_round_trip_carries_the_embedder(tmp_path):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    loaded = load_checkpoint(toy_checkpoint(tmp_path, embedder, params)).embedder
+    assert (loaded.variant, loaded.seed, loaded.n_layers) == (
+        embedder.variant, embedder.seed, embedder.n_layers
+    )
+    assert loaded.n_qubits == params.config.embed_dim
+    assert loaded.stats.per_column.keys() == stats.per_column.keys()
+    for name, column in stats.per_column.items():
+        assert type(loaded.stats.for_column(name)) is type(column)
+        for field, value in vars(column).items():
+            assert np.array_equal(getattr(loaded.stats.for_column(name), field), value)
+
+
+def test_checkpoint_refuses_an_embedder_with_text_overrides(tmp_path):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    overrides = TextEmbeddings(dim=2, vectors={(0, "note"): np.array([0.5, 0.5])})
+    with_overrides = CellEmbedder(
+        table.schema, stats, embedder.variant, seed=embedder.seed,
+        n_qubits=embedder.n_qubits, n_layers=embedder.n_layers, text_embeddings=overrides,
+    )
+    path = tmp_path / "model.npz"
+    with pytest.raises(ContractViolation, match="precomputed text embeddings"):
+        save_checkpoint(path, CheckpointBundle(params=params, embedder=with_overrides))
+    assert not path.exists()
+
+
 def test_checkpoint_schema_mismatch(tmp_path):
     table, mask, stats, embedder, params = trained_toy()
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
     other = DatasetSchema(
         (ColumnSpec("different", ColumnKind.NUMERIC),), name="other"
     )
@@ -463,7 +482,7 @@ def test_checkpoint_schema_mismatch(tmp_path):
 )
 def test_checkpoint_rejects_mismatched_tensors(tmp_path, name, value, message):
     table, mask, stats, embedder, params = trained_toy(epochs=1)
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
 
     def tamper(meta, arrays):
         if value is None:
@@ -478,7 +497,7 @@ def test_checkpoint_rejects_mismatched_tensors(tmp_path, name, value, message):
 
 def test_checkpoint_stores_nothing_derivable(tmp_path):
     table, mask, stats, embedder, params = trained_toy(epochs=1)
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["__checkpoint_meta__"]))
     assert sorted(meta) == ["embedder", "format_version", "model_config", "schema", "stats"]
@@ -490,7 +509,7 @@ def test_checkpoint_ignores_the_derived_fields_older_files_stored(tmp_path):
     # and the text width. A stale copy must not matter: here the heads rename
     # a column that has held-out cells to impute.
     table, mask, stats, embedder, params = trained_toy(epochs=1)
-    clean = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    clean = toy_checkpoint(tmp_path, embedder, params)
     legacy = shutil.copy(clean, tmp_path / "legacy.npz")
     numeric = table.schema.indices_of(ColumnKind.NUMERIC)
     renamed = next(j for j in numeric if mask.matrix[:, j].any())
@@ -513,7 +532,7 @@ def test_checkpoint_ignores_the_derived_fields_older_files_stored(tmp_path):
     for path in (clean, legacy):
         bundle = load_checkpoint(path, expected_schema=table.schema)
         imputed = impute_table(
-            table, mask, table.schema, bundle.stats, bundle.build_embedder(), bundle.params
+            table, mask, table.schema, bundle.embedder.stats, bundle.embedder, bundle.params
         )
         hashes.append(imputed.content_hash())
     assert hashes[0] == hashes[1]
@@ -523,7 +542,7 @@ def test_classical_mlp_checkpoint_without_mlp_tensors_fails_at_load(tmp_path):
     table, mask, stats, embedder = toy_setup(n_rows=40, variant=EmbedderVariant.CLASSICAL_MLP)
     config = TrainConfig(epochs=1, batch_size=16, seed=4, learning_rate=1e-3)
     params = train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config).params
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
 
     def drop_mlp(meta, arrays):
         # An older file's own MLP width agreed with its tensors; the variant decides.
@@ -552,7 +571,7 @@ def test_classical_mlp_checkpoint_without_mlp_tensors_fails_at_load(tmp_path):
 )
 def test_checkpoint_with_malformed_metadata_is_a_checkpoint_error(tmp_path, edit, message):
     table, mask, stats, embedder, params = trained_toy(epochs=1)
-    path = toy_checkpoint(tmp_path, table, stats, embedder, params)
+    path = toy_checkpoint(tmp_path, embedder, params)
     rewrite_checkpoint(path, lambda meta, arrays: edit(meta))
     prefix = re.escape(f"{path}: malformed checkpoint metadata (")
     with pytest.raises(CheckpointError, match=prefix + ".*" + message):
