@@ -40,8 +40,7 @@ class BaselineConfig:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
-_KNN_BLOCK_ROWS = 8  # k-NN query rows per distance block: (8, n_rows, n_numeric) temporaries
-_KNN_GROUP_ROWS = 64  # k-NN query rows whose neighbour orders are held at once: (64, n_rows)
+_KNN_GROUP_ROWS = 64  # k-NN query rows whose distances and orders are held at once: (64, n_rows)
 
 
 class _Frame:
@@ -173,8 +172,9 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     neighbor mode. With no candidate rows the value falls back to the
     column mean/mode.
 
-    Distances are computed for a block of query rows at a time (counts by
-    gemm), neighbours picked for a group of blocks per target column.
+    Distances are computed for a group of query rows at a time: squared
+    differences added one numeric column at a time in schema order, counts
+    and Hamming terms by gemm; neighbours are then picked per target column.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -185,7 +185,7 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     cat_obs = frame.cat_idx >= 0
     num_fill, cat_fill = frame.column_fills()
 
-    num_zeroed = np.where(num_obs, frame.num_norm, 0.0)
+    num_cols = np.ascontiguousarray(frame.num_norm.T)  # nan: unobserved
     num_w, cat_w = num_obs.astype(np.float64), cat_obs.astype(np.float64)
     widths = [len(v) for v in frame.vocabularies]
     onehot = np.zeros((table.n_rows, sum(widths)))
@@ -197,18 +197,19 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
     queries = np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1))
     for first in range(0, queries.size, _KNN_GROUP_ROWS):
         group = queries[first : first + _KNN_GROUP_ROWS]
-        d = np.empty((group.size, table.n_rows))
-        for start in range(0, group.size, _KNN_BLOCK_ROWS):
-            rs = group[start : start + _KNN_BLOCK_ROWS]
-            diffs = num_zeroed[rs, None, :] - num_zeroed  # (block, n, p_num)
-            diffs *= num_obs[rs, None, :] & num_obs
-            euclid = np.sqrt((diffs**2).sum(axis=2))
-            counts = num_w[rs] @ num_w.T + cat_w[rs] @ cat_w.T
-            hamming = cat_w[rs] @ cat_w.T - onehot[rs] @ onehot.T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d[start : start + rs.size] = np.where(
-                    counts > 0, (euclid + hamming) / counts, np.inf
-                )
+        d = np.zeros((group.size, table.n_rows))  # the Euclidean part first
+        sq = np.empty_like(d)
+        for col in num_cols:
+            np.square(np.subtract(col[group, None], col, out=sq), out=sq)
+            d += np.fmax(sq, 0.0, out=sq)  # nan (not both observed) adds +0
+        np.sqrt(d, out=d)
+        counts = num_w[group] @ num_w.T
+        hamming = np.matmul(cat_w[group], cat_w.T, out=sq)  # shared categoricals
+        counts += hamming
+        d += np.subtract(hamming, onehot[group] @ onehot.T, out=hamming)  # minus equal ones
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d /= counts
+        d[counts == 0] = np.inf
         order, n_finite = _neighbour_order(d)
         for s, values in enumerate(frame.num_values.T):
             at = np.flatnonzero(~num_obs[group, s])
@@ -274,7 +275,7 @@ def iterative_ridge_with_trace(
     target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
 
     def ridge_predict(x_train, y_train, x_all):
-        """Centered closed-form ridge; multi-target when y has 2 dims."""
+        """Centered closed-form ridge (the y mean when x has no columns); y may be 2-d."""
         x_mean = x_train.mean(axis=0)
         y_mean = y_train.mean(axis=0)
         xc = x_train - x_mean
@@ -295,21 +296,13 @@ def iterative_ridge_with_trace(
             x = np.take(design, np.delete(all_cols, blocks[j]), axis=1)
             if j in frame.numeric_cols:
                 s = frame.numeric_cols.index(j)
-                if x.shape[1] == 0:
-                    preds = np.full(n_rows, frame.num_norm[train_rows, s].mean())
-                else:
-                    preds = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)
-                new = preds[missing_rows]
+                new = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)[missing_rows]
                 deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
                 work_num[missing_rows, s] = new
             else:
                 s = frame.categorical_cols.index(j)
                 onehot = np.eye(widths[s])[frame.cat_idx[train_rows, s]]
-                if x.shape[1] == 0:
-                    scores = np.tile(onehot.mean(axis=0), (n_rows, 1))
-                else:
-                    scores = ridge_predict(x[train_rows], onehot, x)
-                new = np.argmax(scores[missing_rows], axis=1)
+                new = np.argmax(ridge_predict(x[train_rows], onehot, x)[missing_rows], axis=1)
                 deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
                 work_cat[missing_rows, s] = new
                 design[missing_rows, blocks[j].start : blocks[j].stop] = 0.0

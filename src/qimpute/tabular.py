@@ -82,24 +82,19 @@ class Table:
         n_cols = self.schema.n_columns
         for r, row in enumerate(self.rows):
             if len(row) != n_cols:
-                raise ValueError(
-                    f"row {r} has {len(row)} cells, schema has {n_cols} columns"
-                )
+                raise ValueError(f"row {r} has {len(row)} cells, schema has {n_cols} columns")
         for j in self.schema.indices_of(ColumnKind.NUMERIC):
-            for r, row in enumerate(self.rows):
-                v = row[j]
-                if v is not None and not (isinstance(v, float) and math.isfinite(v)):
-                    raise ValueError(
-                        f"numeric cell at row {r}, column "
-                        f"{self.schema.columns[j].name!r} is not a finite float: {v!r}"
-                    )
+            _check_numeric(self.schema.columns[j].name, enumerate(row[j] for row in self.rows))
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
     def copy(self) -> "Table":
-        return Table(self.schema, [list(row) for row in self.rows])
+        """A table over copies of the rows, whose cells are not validated again."""
+        table = object.__new__(Table)
+        table.schema, table.rows = self.schema, [list(row) for row in self.rows]
+        return table
 
     def column(self, j: int, rows) -> list[CellValue]:
         """The cells of column ``j`` at ``rows``, in the order given."""
@@ -107,12 +102,15 @@ class Table:
 
     def filled(self, cells) -> "Table":
         """A new table with each ``(column, rows, values)`` of ``cells`` written
-        in, validated like any table: a non-finite numeric value raises."""
-        rows = [list(row) for row in self.rows]
+        in and validated: a numeric value that is not a finite float raises."""
+        numeric, out = self.schema.indices_of(ColumnKind.NUMERIC), self.copy()
         for j, at, values in cells:
-            for r, v in zip(np.asarray(at).tolist(), values, strict=True):
-                rows[r][j] = v
-        return Table(self.schema, rows)
+            at = np.asarray(at).tolist()
+            for r, v in zip(at, values, strict=True):
+                out.rows[r][j] = v
+            if j in numeric:
+                _check_numeric(self.schema.columns[j].name, ((r, out.rows[r][j]) for r in at))
+        return out
 
     def content_hash(self) -> str:
         """Stable digest of schema + every cell; used for determinism checks."""
@@ -126,6 +124,15 @@ class Table:
                 h.update(b"\x1f")
             h.update(b"\x1e")
         return h.hexdigest()
+
+
+def _check_numeric(name: str, cells) -> None:
+    """Raise unless each ``(row, value)`` of column ``name`` is missing or a finite float."""
+    for r, v in cells:
+        if v is not None and not (isinstance(v, float) and math.isfinite(v)):
+            raise ValueError(
+                f"numeric cell at row {r}, column {name!r} is not a finite float: {v!r}"
+            )
 
 
 def _canonical_cell(v: CellValue) -> str:
@@ -196,10 +203,10 @@ def apply_mask(table: Table, mask: Mask) -> Table:
             f"mask shape {mask.matrix.shape} does not match table "
             f"({table.n_rows}, {table.schema.n_columns})"
         )
-    rows = [list(row) for row in table.rows]
+    out = table.copy()
     for r, c in np.argwhere(mask.matrix).tolist():
-        rows[r][c] = None
-    return Table(table.schema, rows)
+        out.rows[r][c] = None
+    return out
 
 
 def inject_mcar(table: Table, rate: float, seed: int) -> Mask:

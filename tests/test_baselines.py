@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qimpute import baselines
 from qimpute.baselines import (
     BaselineConfig,
     iterative_ridge_impute,
@@ -10,6 +11,7 @@ from qimpute.baselines import (
     knn_impute,
     mean_mode_impute,
 )
+from qimpute.datasets import synth_healthcare_generate
 from qimpute.errors import ConfigError, FitError
 from qimpute.tabular import (
     ColumnKind,
@@ -18,7 +20,8 @@ from qimpute.tabular import (
     Mask,
     MaskProvenance,
     Table,
-    missing_mask,
+    apply_mask,
+    inject_mcar,
 )
 
 
@@ -186,6 +189,19 @@ def test_knn_deterministic():
     assert a.content_hash() == b.content_hash()
 
 
+def test_knn_output_does_not_depend_on_the_query_group_size(monkeypatch):
+    """Distances add one numeric column at a time within each query group,
+    so 1-, 7- and 64-row groups give the same table on an 800-row split
+    with 12 numeric columns."""
+    data = synth_healthcare_generate(800, seed=1)
+    working = apply_mask(data.table, inject_mcar(data.table, 0.2, seed=1))
+    hashes = set()
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(baselines, "_KNN_GROUP_ROWS", rows)
+        hashes.add(knn_impute(working, no_extra_mask(working), k=5).content_hash())
+    assert len(hashes) == 1
+
+
 # ---------------------------------------------------------------------------
 # iterative ridge
 # ---------------------------------------------------------------------------
@@ -210,6 +226,23 @@ def test_ridge_uninformative_predictors_fall_back_to_mean():
     config = BaselineConfig()
     out = iterative_ridge_impute(table, no_extra_mask(table), config)
     assert out.rows[3][1] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "column, cells, expected",
+    [
+        (ColumnSpec("v", ColumnKind.NUMERIC), [0.0, 2.0, 4.0, None], 2.0),
+        (ColumnSpec("g", ColumnKind.CATEGORICAL), ["a", "b", "b", None], "b"),
+    ],
+    ids=["numeric", "categorical"],
+)
+def test_ridge_with_no_predictor_columns_fills_the_mean_or_mode(column, cells, expected):
+    """Text is never a predictor, so a lone imputable column is fitted on
+    zero columns: the centred ridge then predicts its mean (mode)."""
+    schema = DatasetSchema((column, ColumnSpec("note", ColumnKind.TEXT)))
+    table = Table(schema, [[v, "x"] for v in cells])
+    out = iterative_ridge_impute(table, no_extra_mask(table), BaselineConfig())
+    assert out.rows[3][0] == expected
 
 
 def test_ridge_converges_and_records_changes():

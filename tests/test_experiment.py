@@ -1,6 +1,5 @@
 """Tests for experiment orchestration, scoring, reports, and embedding export."""
 
-import json
 import math
 import multiprocessing
 import os
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import qimpute.experiment as experiment_module
-from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
+from qimpute.encoding import CellEmbedder, EmbedderVariant
 from qimpute.errors import ConfigError
 from qimpute.experiment import (
     ExperimentConfig,

@@ -9,6 +9,7 @@ the suite stays reproducible.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def knn_one_row_at_a_time(table: Table, mask: Mask, k: int) -> Table:
     return frame.completed(num_fill, cat_fill)
 
 
-BLOCK = baselines._KNN_BLOCK_ROWS
+GROUP = baselines._KNN_GROUP_ROWS
 KNN_COLUMNS = [c for c, spec in enumerate(SCHEMA.columns) if spec.kind != ColumnKind.TEXT]
 # Few distinct numeric values, so unrelated rows also tie exactly.
 KNN_CELLS = {
@@ -175,12 +176,12 @@ KNN_CELLS = {
 @st.composite
 def knn_cases(draw):
     """(table, mask, k). Query rows (rows with a missing or held-out numeric
-    or categorical cell) number one, a block, a block plus one, or several
-    blocks; each is often a copy of an earlier one (exact distance ties) and
+    or categorical cell) number one, a group, a group plus one, or several
+    groups; each is often a copy of an earlier one (exact distance ties) and
     has about half its cells missing, so some rows share no observed
     feature. One to three fully observed rows keep every column fitted and
     are never held out; k can exceed the candidate count."""
-    n_query = draw(st.sampled_from([1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
+    n_query = draw(st.sampled_from([1, GROUP, GROUP + 1, 3 * GROUP + 2]))
     full = [
         [draw(KNN_CELLS[spec.kind]) for spec in SCHEMA.columns]
         for _ in range(draw(st.integers(1, 3)))
@@ -211,6 +212,68 @@ def test_blocked_knn_matches_one_row_at_a_time(case):
     table, mask, k = case
     expected = knn_one_row_at_a_time(table, mask, k)
     assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
+
+
+WIDE_SCHEMA = DatasetSchema(
+    tuple(ColumnSpec(f"x{i}", ColumnKind.NUMERIC) for i in range(9))
+    + (ColumnSpec("g", ColumnKind.CATEGORICAL),),
+    name="wide",
+)
+
+
+def distances_by_python_sums(table: Table) -> np.ndarray:
+    """k-NN distances from every query row (a row with a missing cell) to
+    every row: the squared differences over mutually observed numeric
+    columns added by plain Python floats in schema order, then Hamming over
+    mutually observed categoricals, over the shared-feature count."""
+    shape = (table.n_rows, table.schema.n_columns)
+    frame = baselines._Frame(table, Mask(np.zeros(shape, dtype=bool)))
+    norm = frame.num_norm.tolist()
+    cats = frame.cat_idx.tolist()
+    queries = [r for r in range(table.n_rows) if np.isnan(norm[r]).any() or -1 in cats[r]]
+    out = np.empty((len(queries), table.n_rows))
+    for q, r in enumerate(queries):
+        for i in range(table.n_rows):
+            squares, counts, hamming = 0.0, 0, 0
+            for a, b in zip(norm[r], norm[i]):
+                if not (np.isnan(a) or np.isnan(b)):
+                    squares += (a - b) * (a - b)
+                    counts += 1
+            for a, b in zip(cats[r], cats[i]):
+                if a >= 0 and b >= 0:
+                    hamming += a != b
+                    counts += 1
+            out[q, i] = (np.sqrt(squares) + hamming) / counts if counts else np.inf
+    return out
+
+
+@st.composite
+def wide_tables(draw):
+    """Tables with 9 numeric columns (where numpy's pairwise sum over a row
+    of squares and a sequential one differ) and about a third of the cells
+    missing; the first row is fully observed."""
+    n_rows = draw(st.integers(2, 24))
+    cells = [CELLS[spec.kind] for spec in WIDE_SCHEMA.columns]
+    rows = [[draw(cell) for cell in cells]]
+    for _ in range(n_rows - 1):
+        rows.append([None if draw(st.integers(0, 2)) == 0 else draw(cell) for cell in cells])
+    return Table(WIDE_SCHEMA, rows)
+
+
+@PROPERTY_SETTINGS
+@given(table=wide_tables())
+def test_knn_distances_add_squares_in_schema_order(table):
+    """The distances knn_impute orders, group by group (5 query rows each),
+    are bitwise those of the plain-Python reference."""
+    seen = []
+    pick = baselines._neighbour_order
+    with mock.patch.object(baselines, "_KNN_GROUP_ROWS", 5), mock.patch.object(
+        baselines, "_neighbour_order", lambda d: (seen.append(d.copy()), pick(d))[1]
+    ):
+        knn_impute(table, Mask(np.zeros((table.n_rows, WIDE_SCHEMA.n_columns), dtype=bool)))
+    expected = distances_by_python_sums(table)
+    got = np.concatenate(seen) if seen else np.empty((0, table.n_rows))
+    assert np.array_equal(got, expected)
 
 
 def assert_knn_matches_one_row_at_a_time(rows, k):

@@ -110,6 +110,11 @@ def test_table_rejects_non_finite_numeric():
         Table(SCHEMA, [[float("inf"), "a", "t"]])
 
 
+def test_table_rejects_an_int_numeric_cell():
+    with pytest.raises(ValueError, match="finite float"):
+        Table(SCHEMA, [[3.5, "a", "t"], [3, "b", None]])
+
+
 def test_missing_mask():
     m = missing_mask(make_table())
     assert m.provenance is MaskProvenance.NATIVE

@@ -13,13 +13,12 @@ import qimpute.training as training_module
 from qimpute.datasets import make_toy_table
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
 from qimpute.errors import CheckpointError, ContractViolation, FitError, TrainingDiverged
-from qimpute.model import Batch, LossBreakdown, ModelConfig, init_params
+from qimpute.model import LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     inject_mcar,
 )
