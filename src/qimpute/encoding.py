@@ -3,10 +3,10 @@
 Observed cells are first turned into classical feature vectors, one
 column at a time, by :func:`encode_column`: numerics become a single angle
 in [0, pi] via a fitted min-max map, categoricals a pi-scaled one-hot, and
-text a deterministic hashed bag-of-words vector (or a precomputed one)
-rescaled per dimension to [0, pi]. ``CellEmbedder.classical_vector`` is its
-one-row form. From there one of three variants produces the per-cell
-embedding:
+text a deterministic hashed bag-of-words vector (or the precomputed vector
+its text value has in the fitted stats) rescaled per dimension to [0, pi].
+``CellEmbedder.classical_vector`` is its one-row form. From there one of
+three variants produces the per-cell embedding:
 
 * ``QUANTUM_IQP``: a fixed seeded linear projection maps the classical
   vector to circuit angles; the embedding is the circuit's vector of
@@ -23,7 +23,7 @@ Missing cells are never encoded; attempting to is a contract violation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -89,6 +89,15 @@ class TextColumnStats:
     dim: int
     dim_min: np.ndarray
     dim_max: np.ndarray
+    # precomputed vectors by text value; any other value is hashed
+    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def raw(self, values) -> np.ndarray:
+        """(len(values), dim) unscaled vectors: each text's precomputed one, else its hash."""
+        known = self.vectors
+        return np.stack(
+            [known[v] if v in known else text_embed_hashing(str(v), self.dim) for v in values]
+        )
 
 
 ColumnStats = NumericColumnStats | CategoricalColumnStats | TextColumnStats
@@ -114,52 +123,62 @@ class PreprocessStats:
 
 @dataclass(frozen=True)
 class TextEmbeddings:
-    """Precomputed text vectors keyed by (row index, column name).
+    """Precomputed text vectors keyed by (column name, text value).
 
-    When supplied for a text column these override the hashing embedder,
-    both at fit time and at encode time.
+    When supplied for a text column these override the hashing embedder
+    for those values, both at fit time and at encode time, on any table.
     """
 
     dim: int
-    vectors: dict[tuple[int, str], np.ndarray]
+    vectors: dict[tuple[str, str], np.ndarray]
 
-    def lookup(self, row: int, column: str) -> np.ndarray | None:
-        return self.vectors.get((row, column))
+    def __post_init__(self):
+        for (column, text), vec in self.vectors.items():
+            if np.shape(vec) != (self.dim,):
+                raise QimputeError(
+                    f"text embedding for ({column!r}, {text!r}) has shape "
+                    f"{np.shape(vec)}, expected ({self.dim},)"
+                )
 
 
 def load_text_embeddings(path) -> TextEmbeddings:
-    """Load a precomputed-embedding CSV: row_id, column_name, e_0..e_{dim-1}."""
+    """Load a precomputed-embedding CSV: column_name, value, e_0..e_{dim-1}."""
     import csv as _csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) < 3 or header[:2] != ["row_id", "column_name"]:
+        if header is None or len(header) < 3 or header[:2] != ["column_name", "value"]:
             raise QimputeError(
-                f"{path}: expected header row_id,column_name,e_0,... got {header!r}"
+                f"{path}: expected header column_name,value,e_0,... got {header!r}"
             )
         dim = len(header) - 2
         expected = [f"e_{i}" for i in range(dim)]
         if header[2:] != expected:
             raise QimputeError(f"{path}: embedding columns must be e_0..e_{dim - 1}")
-        vectors: dict[tuple[int, str], np.ndarray] = {}
+        vectors: dict[tuple[str, str], np.ndarray] = {}
+        lines: dict[tuple[str, str], int] = {}
         for record in reader:
             where = f"{path}, line {reader.line_num}"
             if len(record) != len(header):
                 raise QimputeError(
                     f"{where}: expected {len(header)} fields, got {len(record)}"
                 )
+            key = (record[0], record[1])
             try:
-                row_id = int(record[0])
                 vec = np.array([float(x) for x in record[2:]], dtype=np.float64)
             except ValueError as exc:
                 raise QimputeError(f"{where}: {exc}") from None
             if not np.all(np.isfinite(vec)):
                 raise QimputeError(
-                    f"{where}: non-finite text embedding for row {row_id}, "
-                    f"column {record[1]!r}"
+                    f"{where}: non-finite text embedding for column {key[0]!r}, value {key[1]!r}"
                 )
-            vectors[(row_id, record[1])] = vec
+            if key in lines:
+                raise QimputeError(
+                    f"{where}: column {key[0]!r}, value {key[1]!r} is given again "
+                    f"(first on line {lines[key]})"
+                )
+            vectors[key], lines[key] = vec, reader.line_num
     return TextEmbeddings(dim=dim, vectors=vectors)
 
 
@@ -197,21 +216,30 @@ def fit_preprocessor(
     text_dim: int = DEFAULT_TEXT_DIM,
     text_embeddings: TextEmbeddings | None = None,
 ) -> PreprocessStats:
-    """Fit every column's normalization constants from its observed cells."""
+    """Fit every column's normalization constants from its observed cells.
+
+    Each text column's stats keep every precomputed vector given for it;
+    a vector for a column that is not a text column is an error.
+    """
+    if text_embeddings is not None:
+        text_columns = {schema.columns[j].name for j in schema.indices_of(ColumnKind.TEXT)}
+        stray = sorted({column for column, _ in text_embeddings.vectors} - text_columns)
+        if stray:
+            raise QimputeError(
+                f"precomputed text embeddings name column {stray[0]!r}, "
+                f"which is not a text column of the schema"
+            )
     observed = ~missing_mask(table).matrix
     per_column: dict[str, ColumnStats] = {}
     for j, spec in enumerate(schema.columns):
-        rows = np.flatnonzero(observed[:, j]).tolist()
-        per_column[spec.name] = fit_column(
-            spec, table.column(j, rows), rows, text_dim, text_embeddings
-        )
+        rows = np.flatnonzero(observed[:, j])
+        per_column[spec.name] = fit_column(spec, table.column(j, rows), text_dim, text_embeddings)
     return PreprocessStats(per_column=per_column)
 
 
 def fit_column(
     spec: ColumnSpec,
     values: list[CellValue],
-    rows: list[int] | None = None,
     text_dim: int = DEFAULT_TEXT_DIM,
     text_embeddings: TextEmbeddings | None = None,
 ) -> ColumnStats:
@@ -219,9 +247,8 @@ def fit_column(
 
     Numeric columns record observed min/max, categoricals a vocabulary in
     first-appearance order, text columns the per-dimension range of the
-    embedder output (``rows`` are the values' row ids, for looking up
-    precomputed text vectors). A column with zero observed values is a fit
-    error.
+    observed values' vectors and every precomputed vector given for the
+    column. A column with zero observed values is a fit error.
     """
     if not values:
         raise FitError(f"column {spec.name!r} has no observed values")
@@ -229,35 +256,17 @@ def fit_column(
         return NumericColumnStats(vmin=float(min(values)), vmax=float(max(values)))
     if spec.kind == ColumnKind.CATEGORICAL:
         return CategoricalColumnStats(vocabulary=tuple(dict.fromkeys(values)))
-    if text_embeddings is None:
-        # Min and max over the distinct values' vectors are those over all cells.
-        dim = text_dim
-        raw = np.stack([text_embed_hashing(v, dim) for v in dict.fromkeys(values)])
-    else:
-        dim = text_embeddings.dim
-        raw = np.stack(
-            [_raw_text_vector(r, spec.name, v, dim, text_embeddings) for r, v in zip(rows, values)]
-        )
-    return TextColumnStats(dim=dim, dim_min=raw.min(axis=0), dim_max=raw.max(axis=0))
-
-
-def _raw_text_vector(
-    row: int,
-    column: str,
-    value: str,
-    dim: int,
-    text_embeddings: TextEmbeddings | None,
-) -> np.ndarray:
+    dim, vectors = text_dim, {}
     if text_embeddings is not None:
-        override = text_embeddings.lookup(row, column)
-        if override is not None:
-            if override.shape != (dim,):
-                raise QimputeError(
-                    f"text embedding for (row {row}, {column!r}) has shape "
-                    f"{override.shape}, expected ({dim},)"
-                )
-            return override
-    return text_embed_hashing(value, dim)
+        dim = text_embeddings.dim
+        for (column, text), vec in text_embeddings.vectors.items():
+            if column == spec.name:
+                vectors[text] = np.asarray(vec, dtype=np.float64)
+    stats = TextColumnStats(dim, np.zeros(dim), np.zeros(dim), vectors)
+    # Min and max over the distinct values' vectors are those over all cells.
+    raw = stats.raw(dict.fromkeys(values))
+    stats.dim_min, stats.dim_max = raw.min(axis=0), raw.max(axis=0)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +279,9 @@ def encode_column(
     kind: ColumnKind,
     stats: ColumnStats,
     column: str = "",
-    raw_text: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Observed cells of one column -> (len(values), width) features in [0, pi].
 
-    ``raw_text`` holds, per cell, the text vector to scale in place of the
-    hashed value (``CellEmbedder`` passes its precomputed overrides).
     Encoding a missing value is a contract violation, not a silent zero.
     Each unknown category encoded logs one warning and maps to the
     all-zeros vector.
@@ -305,11 +311,9 @@ def encode_column(
     assert isinstance(stats, TextColumnStats)
     if not values:
         return np.zeros((0, stats.dim))
-    if raw_text is None:
-        raw_text = [text_embed_hashing(str(v), stats.dim) for v in values]
     span = stats.dim_max - stats.dim_min
     scaled = np.where(
-        span > 0.0, (np.stack(raw_text) - stats.dim_min) / np.where(span > 0, span, 1.0), 0.0
+        span > 0.0, (stats.raw(values) - stats.dim_min) / np.where(span > 0, span, 1.0), 0.0
     )
     return np.clip(scaled, 0.0, 1.0) * np.pi
 
@@ -381,7 +385,6 @@ class CellEmbedder:
         seed: int,
         n_qubits: int = 8,
         n_layers: int = 2,
-        text_embeddings: TextEmbeddings | None = None,
     ):
         if n_qubits < 1:
             raise ConfigError(f"n_qubits must be >= 1, got {n_qubits}")
@@ -393,7 +396,6 @@ class CellEmbedder:
         self.seed = seed
         self.n_qubits = n_qubits
         self.n_layers = n_layers
-        self.text_embeddings = text_embeddings
         self._widths = [stats.feature_width(c.name) for c in schema.columns]
         self.d_in_max = max(self._widths)
         # the model's MLP input width; 0 when the variant's embedding is fixed
@@ -414,24 +416,20 @@ class CellEmbedder:
             ]
 
     def classical_vector(self, row: int, col: int, value: CellValue) -> np.ndarray:
-        """Classical features of one observed cell (one-row :func:`encode_column`)."""
-        return self._encode(col, [row], [value])[0]
+        """Classical features of one observed cell (one-row :func:`encode_column`).
 
-    def _encode(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
-        """(len(rows), width) classical features of observed cells of one column."""
+        The features depend on the value only; ``row`` is not read.
+        """
+        return self._encode(col, [value])[0]
+
+    def _encode(self, col: int, values: list[CellValue]) -> np.ndarray:
+        """(len(values), width) classical features of observed cells of one column."""
         spec = self.schema.columns[col]
-        stats = self.stats.for_column(spec.name)
-        raw_text = None
-        if spec.kind == ColumnKind.TEXT and self.text_embeddings is not None:
-            raw_text = [
-                _raw_text_vector(r, spec.name, v, stats.dim, self.text_embeddings)
-                for r, v in zip(rows, values)
-            ]
-        return encode_column(values, spec.kind, stats, spec.name, raw_text)
+        return encode_column(values, spec.kind, self.stats.for_column(spec.name), spec.name)
 
     def embed(self, row: int, col: int, value: CellValue) -> np.ndarray:
-        """Fixed-variant embedding of one observed cell."""
-        return self._embed_column(col, [row], [value])[0]
+        """Fixed-variant embedding of one observed cell; ``row`` is not read."""
+        return self._embed_column(col, [value])[0]
 
     def embed_table(self, table: Table, mask: Mask | None = None) -> np.ndarray:
         """The model input: (rows, columns, width), zeros at missing/masked cells.
@@ -450,33 +448,24 @@ class CellEmbedder:
                 continue
             values = table.column(c, rows)
             if self.mlp_d_in:
-                out[rows, c, : self._widths[c]] = self._encode(c, rows, values)
+                out[rows, c, : self._widths[c]] = self._encode(c, values)
             else:
-                out[rows, c] = self._embed_column(c, rows, values)
+                out[rows, c] = self._embed_column(c, values)
         return out
 
-    def _embed_column(self, col: int, rows: list[int], values: list[CellValue]) -> np.ndarray:
-        """(len(rows), n_qubits) embeddings of observed cells of one column.
+    def _embed_column(self, col: int, values: list[CellValue]) -> np.ndarray:
+        """(len(values), n_qubits) embeddings of observed cells of one column.
 
-        Each distinct value, and each cell with a precomputed text override
-        on its own, is encoded and embedded once, as one batch.
+        Each distinct value is encoded and embedded once, as one batch.
         """
         if self.variant == EmbedderVariant.CLASSICAL_MLP:
             raise ContractViolation(
                 "the classical-MLP variant has no fixed embedding; its weights "
                 "live in the model and are applied during the forward pass"
             )
-        spec = self.schema.columns[col]
-        overrides = self.text_embeddings if spec.kind == ColumnKind.TEXT else None
-        # A cell with an override is keyed by its row, a tuple no value equals.
-        keys = [
-            v if overrides is None or overrides.lookup(r, spec.name) is None else (r,)
-            for r, v in zip(rows, values)
-        ]
         slots: dict = {}
-        index = np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)
-        first = np.unique(index, return_index=True)[1]  # each slot's first cell
-        x = self._encode(col, [rows[i] for i in first], [values[i] for i in first])
+        index = np.array([slots.setdefault(v, len(slots)) for v in values], dtype=np.intp)
+        x = self._encode(col, list(slots))
         vectors = _project(x, self._proj[col])
         if self.variant == EmbedderVariant.QUANTUM_IQP:
             # The projection gives circuit angles. project_to_angles

@@ -90,11 +90,16 @@ class Table:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    @classmethod
+    def _unchecked(cls, schema: DatasetSchema, rows: list[list[CellValue]]) -> "Table":
+        """A table over ``rows`` as given, for cells its maker has already validated."""
+        table = object.__new__(cls)
+        table.schema, table.rows = schema, rows
+        return table
+
     def copy(self) -> "Table":
         """A table over copies of the rows, whose cells are not validated again."""
-        table = object.__new__(Table)
-        table.schema, table.rows = self.schema, [list(row) for row in self.rows]
-        return table
+        return Table._unchecked(self.schema, [list(row) for row in self.rows])
 
     def column(self, j: int, rows) -> list[CellValue]:
         """The cells of column ``j`` at ``rows``, in the order given."""
@@ -320,7 +325,8 @@ def load_csv(path, schema: DatasetSchema) -> Table:
                 else:
                     row.append(text)
             rows.append(row)
-    return Table(schema, rows)
+    # every row has one cell per column and every numeric cell is a finite float
+    return Table._unchecked(schema, rows)
 
 
 def save_csv(table: Table, path) -> None:

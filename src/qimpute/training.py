@@ -28,7 +28,7 @@ from .encoding import (
     PreprocessStats,
     TextColumnStats,
 )
-from .errors import CheckpointError, ConfigError, ContractViolation, FitError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, FitError, TrainingDiverged
 from .model import (
     Batch,
     ModelConfig,
@@ -300,6 +300,9 @@ def _stats_to_json(stats: PreprocessStats) -> dict:
                 "dim_min": col.dim_min.tolist(),
                 "dim_max": col.dim_max.tolist(),
             }
+            if col.vectors:
+                # JSON floats round-trip exactly; the vectors are keyed by text
+                out[name]["vectors"] = {t: v.tolist() for t, v in col.vectors.items()}
     return out
 
 
@@ -311,10 +314,14 @@ def _stats_from_json(data: dict) -> PreprocessStats:
         elif entry["kind"] == "categorical":
             per_column[name] = CategoricalColumnStats(vocabulary=tuple(entry["vocabulary"]))
         else:
+            vectors = {t: np.array(v, dtype=float) for t, v in entry.get("vectors", {}).items()}
+            if any(v.shape != (entry["dim"],) for v in vectors.values()):
+                raise ValueError(f"a text vector of column {name!r} is not {entry['dim']} wide")
             per_column[name] = TextColumnStats(
                 dim=entry["dim"],
                 dim_min=np.array(entry["dim_min"]),
                 dim_max=np.array(entry["dim_max"]),
+                vectors=vectors,
             )
     return PreprocessStats(per_column=per_column)
 
@@ -336,15 +343,9 @@ def _savez_deterministic(path, arrays: dict[str, np.ndarray]) -> None:
 def save_checkpoint(path, bundle: CheckpointBundle) -> None:
     """Single-file npz: version + schema + stats + embedder recipe + tensors, nothing derivable.
 
-    An embedder holding precomputed text vectors is refused: the file cannot
-    record them, and the model would load without them.
+    A text column's stats carry its precomputed text vectors, if it has any.
     """
     embedder = bundle.embedder
-    if embedder.text_embeddings is not None:
-        raise ContractViolation(
-            "a model trained with precomputed text embeddings cannot be checkpointed: "
-            "the file does not record them"
-        )
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(bundle.params.config),

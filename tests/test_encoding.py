@@ -404,14 +404,17 @@ def test_classical_table_padding():
 def test_load_text_embeddings(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text(
-        "row_id,column_name,e_0,e_1\n"
-        "0,note,0.5,0.25\n"
-        "1,note,-0.5,1.0\n"
+        "column_name,value,e_0,e_1\n"
+        "note,chest pain,0.5,0.25\n"
+        "note,all clear,-0.5,1.0\n"
     )
     emb = load_text_embeddings(path)
     assert emb.dim == 2
-    assert np.array_equal(emb.lookup(0, "note"), np.array([0.5, 0.25]))
-    assert emb.lookup(5, "note") is None
+    assert np.array_equal(emb.vectors[("note", "chest pain")], np.array([0.5, 0.25]))
+    assert emb.vectors.get(("note", "fever")) is None
+
+
+NOTES = ["chest pain", "pain chest", "all clear today", "chest pain again"]
 
 
 def test_text_override_changes_fit_and_encoding(tmp_path):
@@ -419,21 +422,14 @@ def test_text_override_changes_fit_and_encoding(tmp_path):
     overrides = TextEmbeddings(
         dim=2,
         vectors={
-            (r, "note"): np.array([float(r), 1.0 - float(r)]) for r in range(4)
+            ("note", NOTES[r]): np.array([float(r), 1.0 - float(r)]) for r in range(4)
         },
     )
     stats = fit_preprocessor(table, SCHEMA, text_embeddings=overrides)
     note = stats.for_column("note")
     assert note.dim == 2
     assert note.dim_min[0] == 0.0 and note.dim_max[0] == 3.0
-    emb = CellEmbedder(
-        SCHEMA,
-        stats,
-        EmbedderVariant.RANDOM_PROJECTION,
-        seed=1,
-        n_qubits=4,
-        text_embeddings=overrides,
-    )
+    emb = CellEmbedder(SCHEMA, stats, EmbedderVariant.RANDOM_PROJECTION, seed=1, n_qubits=4)
     x = emb.classical_vector(3, 2, "chest pain again")
     # raw override (3, -2) rescaled per fitted dims: dim0 -> pi, dim1 clamped to 0
     assert x[0] == pytest.approx(np.pi)
@@ -454,42 +450,37 @@ def test_text_stats_from_repeated_values_equal_the_per_cell_fit():
     assert note.dim_max.tobytes() == per_cell.max(axis=0).tobytes()
 
 
-def test_text_override_on_one_row_of_a_repeated_value_sets_the_range():
-    table = Table(SCHEMA, [[float(r), "a", note] for r, note in enumerate(REPEATED_NOTES)])
-    hashed = [text_embed_hashing(note, 2) for note in REPEATED_NOTES]
-    # Row 2 repeats row 0's text; only row 2's vector is overridden.
-    overrides = TextEmbeddings(dim=2, vectors={(2, "note"): np.array([5.0, -5.0])})
-    note = fit_preprocessor(table, SCHEMA, text_embeddings=overrides).for_column("note")
-    others = np.stack(hashed[:2] + hashed[3:])
-    assert note.dim_max[0] == 5.0 and note.dim_min[1] == -5.0
-    assert note.dim_min[0] == others[:, 0].min() and note.dim_max[1] == others[:, 1].max()
-
-
-def test_embed_table_embeds_an_overridden_cell_on_its_own():
-    table = Table(SCHEMA, [[float(r), "a", note] for r, note in enumerate(REPEATED_NOTES)])
-    # Rows 0, 2 and 6 hold the same text; only row 2's vector is overridden.
-    overrides = TextEmbeddings(dim=2, vectors={(2, "note"): np.array([5.0, -5.0])})
-    stats = fit_preprocessor(table, SCHEMA, text_embeddings=overrides)
-    emb = CellEmbedder(
-        SCHEMA, stats, EmbedderVariant.QUANTUM_IQP, seed=1, n_qubits=4,
-        text_embeddings=overrides,
+def test_override_absent_at_fit_time_is_kept_and_used_at_encode_time():
+    fever = np.array([0.25, -4.0])
+    overrides = TextEmbeddings(
+        dim=2, vectors={("note", "chest pain"): np.array([1.0, 0.0]), ("note", "fever"): fever}
     )
-    out = emb.embed_table(table)[:, 2]
-    for r, note in enumerate(REPEATED_NOTES):
-        assert np.array_equal(out[r], emb.embed(r, 2, note))
-    assert np.array_equal(out[0], out[6]) and not np.array_equal(out[0], out[2])
+    stats = fit_preprocessor(make_table(), SCHEMA, text_embeddings=overrides)
+    note = stats.for_column("note")
+    # the range is fitted on the observed values only, "fever" is not one
+    observed = note.raw(NOTES)
+    assert np.array_equal(note.dim_min, observed.min(axis=0))
+    assert np.array_equal(note.dim_max, observed.max(axis=0))
+    assert np.array_equal(note.vectors["fever"], fever)
+    later = Table(SCHEMA, [[2.0, "a", "fever"], [4.0, "b", "chest pain"]])
+    expected = encode_column(["fever"], ColumnKind.TEXT, note)[0]
+    span = note.dim_max - note.dim_min
+    assert np.array_equal(expected, np.clip((fever - note.dim_min) / span, 0.0, 1.0) * np.pi)
+    mlp = CellEmbedder(SCHEMA, stats, EmbedderVariant.CLASSICAL_MLP, seed=1, n_qubits=4)
+    assert np.array_equal(mlp.embed_table(later)[0, 2, :2], expected)
 
 
-@pytest.mark.parametrize(
-    "variant", [EmbedderVariant.CLASSICAL_MLP, EmbedderVariant.QUANTUM_IQP]
-)
-def test_text_override_of_wrong_width_names_cell(variant):
-    table = make_table()
-    stats = fit_preprocessor(table, SCHEMA)  # hashed text, dim 16
-    overrides = TextEmbeddings(dim=2, vectors={(1, "note"): np.array([0.5, 0.5])})
-    emb = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, text_embeddings=overrides)
-    with pytest.raises(QimputeError, match=r"\(row 1, 'note'\) has shape \(2,\), expected \(16,\)"):
-        emb.embed_table(table)
+def test_text_embeddings_reject_a_vector_of_wrong_width():
+    message = r"\('note', 'all clear'\) has shape \(3,\), expected \(2,\)"
+    with pytest.raises(QimputeError, match=message):
+        TextEmbeddings(dim=2, vectors={("note", "all clear"): np.array([0.5, 0.5, 0.5])})
+
+
+@pytest.mark.parametrize("column", ["grade", "notes"])
+def test_fit_preprocessor_rejects_overrides_for_a_column_that_is_not_text(column):
+    overrides = TextEmbeddings(dim=2, vectors={(column, "a"): np.array([0.5, 0.5])})
+    with pytest.raises(QimputeError, match=f"column '{column}', which is not a text column"):
+        fit_preprocessor(make_table(), SCHEMA, text_embeddings=overrides)
 
 
 def test_load_text_embeddings_bad_header(tmp_path):
@@ -497,17 +488,34 @@ def test_load_text_embeddings_bad_header(tmp_path):
     path.write_text("row,col,e_0\n0,note,1.0\n")
     with pytest.raises(Exception, match="header"):
         load_text_embeddings(path)
+    # the earlier row-keyed layout fails on its header
+    path.write_text("row_id,column_name,e_0\n0,note,1.0\n")
+    with pytest.raises(QimputeError, match="expected header column_name,value"):
+        load_text_embeddings(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_text_embeddings_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "emb.csv"
     path.write_text(
-        "row_id,column_name,e_0,e_1\n"
-        "0,note,0.5,0.25\n"
-        f"7,note,{bad},1.0\n"
+        "column_name,value,e_0,e_1\n"
+        "note,chest pain,0.5,0.25\n"
+        f"note,fever,{bad},1.0\n"
     )
-    with pytest.raises(QimputeError, match="row 7, column 'note'"):
+    with pytest.raises(QimputeError, match="column 'note', value 'fever'"):
+        load_text_embeddings(path)
+
+
+def test_load_text_embeddings_rejects_a_repeated_pair(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text(
+        "column_name,value,e_0,e_1\n"
+        "note,fever,0.5,0.25\n"
+        "note,chest pain,0.5,0.25\n"
+        "note,fever,1.0,0.0\n"
+    )
+    message = r"line 4: column 'note', value 'fever' is given again \(first on line 2\)"
+    with pytest.raises(QimputeError, match=message):
         load_text_embeddings(path)
 
 
@@ -515,13 +523,12 @@ def test_load_text_embeddings_rejects_non_finite(tmp_path, bad):
     "record,message",
     [
         ("7,note,0.5,abc", "line 3: could not convert"),
-        ("x7,note,0.5,1.0", "line 3: invalid literal"),
         ("7", "line 3: expected 4 fields, got 1"),
         ("7,note,0.5", "line 3: expected 4 fields, got 3"),
     ],
 )
 def test_load_text_embeddings_rejects_malformed_record(tmp_path, record, message):
     path = tmp_path / "emb.csv"
-    path.write_text("row_id,column_name,e_0,e_1\n0,note,0.5,0.25\n" + record + "\n")
+    path.write_text("column_name,value,e_0,e_1\nnote,chest pain,0.5,0.25\n" + record + "\n")
     with pytest.raises(QimputeError, match=message):
         load_text_embeddings(path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qimpute.experiment as experiment_module
-from qimpute.encoding import CellEmbedder, EmbedderVariant
+from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
 from qimpute.errors import ConfigError
 from qimpute.experiment import (
     ExperimentConfig,
@@ -365,6 +365,35 @@ def test_export_cell_mode_counts_observed_cells(tmp_path):
     )
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + observed
+
+
+def test_export_uses_the_precomputed_text_vectors_of_its_stats(tmp_path):
+    split = export_setup()
+    table, schema = split.working, split.schema
+    notes = sorted(set(table.column(schema.index("triage_note"), range(table.n_rows))) - {None})
+    rng = np.random.default_rng(0)
+    vectors = {("triage_note", note): rng.normal(size=3) for note in notes}
+    stats = fit_preprocessor(table, schema, text_embeddings=TextEmbeddings(dim=3, vectors=vectors))
+    path = tmp_path / "emb.csv"
+    export_embeddings(
+        table, schema, stats, EmbedderVariant.QUANTUM_IQP,
+        seed=0, label_column="diagnosis", path=path, mode="cell", n_qubits=4,
+    )
+    emb = CellEmbedder(schema, stats, EmbedderVariant.QUANTUM_IQP, seed=0, n_qubits=4)
+    hashed = fit_preprocessor(table, schema, text_dim=3)
+    plain = CellEmbedder(schema, hashed, EmbedderVariant.QUANTUM_IQP, seed=0, n_qubits=4)
+    expected, without = emb.embed_table(table), plain.embed_table(table)
+    note = schema.index("triage_note")
+    lines = path.read_text().strip().split("\n")[1:]
+    for line in lines:
+        row, column, _, *values = line.split(",")
+        r, c = int(row), schema.index(column)
+        assert values == [format(v, ".17g") for v in expected[r, c]]
+        if c == note:
+            assert not np.array_equal(expected[r, c], without[r, c])
+    assert sum(line.split(",")[1] == "triage_note" for line in lines) == len(
+        [v for v in table.column(note, range(table.n_rows)) if v is not None]
+    )
 
 
 def test_export_unknown_label_column(tmp_path):

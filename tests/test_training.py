@@ -10,9 +10,9 @@ import pytest
 
 import qimpute.model as model_module
 import qimpute.training as training_module
-from qimpute.datasets import make_toy_table
+from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
-from qimpute.errors import CheckpointError, ContractViolation, FitError, TrainingDiverged
+from qimpute.errors import CheckpointError, FitError, TrainingDiverged
 from qimpute.model import LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -447,17 +447,52 @@ def test_checkpoint_round_trip_carries_the_embedder(tmp_path):
             assert np.array_equal(getattr(loaded.stats.for_column(name), field), value)
 
 
-def test_checkpoint_refuses_an_embedder_with_text_overrides(tmp_path):
-    table, mask, stats, embedder, params = trained_toy(epochs=1)
-    overrides = TextEmbeddings(dim=2, vectors={(0, "note"): np.array([0.5, 0.5])})
-    with_overrides = CellEmbedder(
-        table.schema, stats, embedder.variant, seed=embedder.seed,
-        n_qubits=embedder.n_qubits, n_layers=embedder.n_layers, text_embeddings=overrides,
+def text_override_setup(seed=3):
+    """A synthetic table whose triage notes have precomputed vectors, and a model trained on it."""
+    data = synth_healthcare_generate(40, seed)
+    table, schema = data.table, data.schema
+    notes = table.column(schema.index("triage_note"), range(table.n_rows))
+    rng = np.random.default_rng(seed)
+    distinct = sorted(set(notes) - {None})
+    overrides = TextEmbeddings(
+        dim=3, vectors={("triage_note", note): rng.normal(size=3) for note in distinct}
     )
-    path = tmp_path / "model.npz"
-    with pytest.raises(ContractViolation, match="precomputed text embeddings"):
-        save_checkpoint(path, CheckpointBundle(params=params, embedder=with_overrides))
-    assert not path.exists()
+    mask = inject_mcar(table, 0.2, seed=seed)
+    stats = fit_preprocessor(table, schema, text_embeddings=overrides)
+    embedder = CellEmbedder(schema, stats, EmbedderVariant.QUANTUM_IQP, seed=seed, n_qubits=4)
+    config = TrainConfig(epochs=1, batch_size=16, seed=seed, learning_rate=1e-3)
+    params = train(table, mask, schema, stats, embedder, SMALL_MODEL, config).params
+    return table, mask, stats, embedder, params
+
+
+def test_text_overrides_follow_their_text_on_a_row_permuted_table():
+    table, mask, stats, embedder, params = text_override_setup()
+    order = np.random.default_rng(0).permutation(table.n_rows)
+    permuted = Table(table.schema, [list(table.rows[r]) for r in order])
+    permuted_mask = Mask(mask.matrix[order])
+    assert embedder.embed_table(permuted, permuted_mask).tobytes() == (
+        embedder.embed_table(table, mask)[order].tobytes()
+    )
+    # One row per batch: the model's matmuls may round a row's last bits by
+    # its position in a batch, which is not what this test is about.
+    imputed = impute_table(table, mask, table.schema, stats, embedder, params, batch_rows=1)
+    again = impute_table(
+        permuted, permuted_mask, table.schema, stats, embedder, params, batch_rows=1
+    )
+    expected = Table(table.schema, [imputed.rows[r] for r in order])
+    assert again.content_hash() == expected.content_hash()
+
+
+def test_checkpoint_keeps_the_precomputed_text_vectors(tmp_path):
+    table, mask, stats, embedder, params = text_override_setup()
+    loaded = load_checkpoint(toy_checkpoint(tmp_path, embedder, params)).embedder
+    vectors = stats.for_column("triage_note").vectors
+    loaded_vectors = loaded.stats.for_column("triage_note").vectors
+    assert list(loaded_vectors) == list(vectors)
+    for text, vec in vectors.items():
+        assert loaded_vectors[text].tobytes() == vec.tobytes()
+    assert loaded.stats.for_column("nursing_note").vectors == {}
+    assert loaded.embed_table(table, mask).tobytes() == embedder.embed_table(table, mask).tobytes()
 
 
 def test_checkpoint_schema_mismatch(tmp_path):
