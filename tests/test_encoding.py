@@ -470,10 +470,27 @@ def test_override_absent_at_fit_time_is_kept_and_used_at_encode_time():
     assert np.array_equal(mlp.embed_table(later)[0, 2, :2], expected)
 
 
-def test_text_embeddings_reject_a_vector_of_wrong_width():
+@pytest.mark.parametrize(
+    "variant", [EmbedderVariant.CLASSICAL_MLP, EmbedderVariant.QUANTUM_IQP]
+)
+def test_text_override_of_wrong_width_names_cell(variant):
+    # The width is checked when the vectors are built, so an embedder of either
+    # variant only ever receives vectors as wide as its fitted text stats.
     message = r"\('note', 'all clear'\) has shape \(3,\), expected \(2,\)"
     with pytest.raises(QimputeError, match=message):
         TextEmbeddings(dim=2, vectors={("note", "all clear"): np.array([0.5, 0.5, 0.5])})
+    overrides = TextEmbeddings(dim=2, vectors={("note", "all clear"): np.array([0.5, 0.5])})
+    stats = fit_preprocessor(make_table(), SCHEMA, text_embeddings=overrides)
+    note = stats.for_column("note")
+    assert np.array_equal(note.raw(["all clear"])[0], [0.5, 0.5])
+    emb = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4)
+    out = emb.embed_table(Table(SCHEMA, [[2.0, "a", "all clear"]]))
+    expected = encode_column(["all clear"], ColumnKind.TEXT, note)[0]
+    assert np.array_equal(emb.classical_vector(0, 2, "all clear"), expected)
+    if variant is EmbedderVariant.CLASSICAL_MLP:
+        assert np.array_equal(out[0, 2, :2], expected)
+    else:
+        assert np.array_equal(out[0, 2], emb.embed(0, 2, "all clear"))
 
 
 @pytest.mark.parametrize("column", ["grade", "notes"])
