@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=VARIANTS, help=f"default {_EXPORT_DEFAULTS['variant']}"
     )
     p.add_argument("--label-col", required=True)
-    p.add_argument("--mode", choices=("row_mean", "cell"), default="row_mean")
+    p.add_argument("--mode", choices=("row_mean", "cell"), default="row_mean", help="row_mean: "
+                   "a row's mean observed-cell embedding (zeros if none); cell: one line per "
+                   "observed cell, row_id,column_name,label,e_0..; 17 significant digits")
     p.add_argument(
         "--model", type=Path,
         help="checkpoint (required for classical_mlp); its stats, variant, seed, "

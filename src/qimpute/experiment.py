@@ -378,6 +378,8 @@ def write_report(report: MetricReport, out_dir) -> None:
 # embedding export
 # ---------------------------------------------------------------------------
 
+_EXPORT_BLOCK_ROWS = 256  # rows per export block; bounds the row-mean gather's size
+
 
 def export_embeddings(
     table: Table,
@@ -418,21 +420,32 @@ def export_embeddings(
     observed = ~missing_mask(table).matrix
     labels = ["" if v is None else v for v in table.column(label_idx, range(table.n_rows))]
     dim = emb.shape[2]  # the MLP's output width is the model's, not n_qubits
-    keys = ["row_id", "label"] if mode == "row_mean" else ["row_id", "column_name", "label"]
+    values = ",".join(["%.17g"] * dim)  # one call, each value as format(v, ".17g")
+    header = ["row_id", "label"] if mode == "row_mean" else ["row_id", "column_name", "label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys + [f"e_{i}" for i in range(dim)])
-        if mode == "row_mean":
-            for r in range(table.n_rows):
-                cells = emb[r][observed[r]]
-                mean = cells.mean(axis=0) if cells.size else np.zeros(dim)
-                writer.writerow([r, labels[r]] + [format(v, ".17g") for v in mean])
-        else:
-            for r in range(table.n_rows):
-                for c in range(schema.n_columns):
-                    if not observed[r, c]:
-                        continue
-                    writer.writerow(
-                        [r, schema.columns[c].name, labels[r]]
-                        + [format(v, ".17g") for v in emb[r, c]]
-                    )
+        writer.writerow(header + [f"e_{i}" for i in range(dim)])
+        for start in range(0, table.n_rows, _EXPORT_BLOCK_ROWS):
+            seen, block = (a[start : start + _EXPORT_BLOCK_ROWS] for a in (observed, emb))
+            if mode == "row_mean":
+                keys = [[start + r, labels[start + r]] for r in range(len(seen))]
+                vectors = _row_means(block, seen)
+            else:
+                rows, cols = np.nonzero(seen)
+                names = [schema.columns[c].name for c in cols.tolist()]
+                keys = [[start + r, n, labels[start + r]] for r, n in zip(rows.tolist(), names)]
+                vectors = block[rows, cols]
+            for key, v in zip(keys, vectors.tolist()):
+                writer.writerow(key + (values % tuple(v)).split(","))
+
+
+def _row_means(emb: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Each row's mean observed cell embedding (zeros for none), batched by observed
+    count k: ``(m, k, dim).mean(axis=1)`` is bitwise each row's ``(k, dim).mean(axis=0)``."""
+    means = np.zeros((emb.shape[0], emb.shape[2]))
+    counts = observed.sum(axis=1)
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == k)
+        cols = np.nonzero(observed[rows])[1].reshape(rows.size, k)
+        means[rows] = emb[rows[:, None], cols].mean(axis=1)
+    return means

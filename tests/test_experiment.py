@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, scoring, reports, and embedding export."""
 
+import csv
 import math
 import multiprocessing
 import os
@@ -21,7 +22,7 @@ from qimpute.experiment import (
     run_method,
     score_imputation,
 )
-from qimpute.model import Batch, ModelConfig, forward
+from qimpute.model import Batch, ModelConfig, forward, mlp_embed
 from qimpute.tabular import (
     ColumnKind,
     ColumnSpec,
@@ -458,3 +459,76 @@ def test_export_classical_mlp_rows_are_as_wide_as_the_header(tmp_path, mode):
     header = lines[0].split(",")
     assert [h for h in header if h.startswith("e_")] == [f"e_{i}" for i in range(4)]
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+# Ten columns; each row below observes the listed ones. Row 0 observes
+# nothing, and the observed-count groups 1, 7 and 9 hold one row each.
+EXPORT_COLUMNS = (
+    ColumnSpec("ward", ColumnKind.CATEGORICAL),
+    *(ColumnSpec(f"x{i}", ColumnKind.NUMERIC) for i in range(6)),
+    ColumnSpec("g", ColumnKind.CATEGORICAL),
+    ColumnSpec("note", ColumnKind.TEXT),
+    ColumnSpec("y", ColumnKind.NUMERIC),
+)
+EXPORT_OBSERVED = (
+    (), (3,), (0, 1, 2, 4, 6, 8, 9), range(8), range(1, 9), range(9), range(10), range(10),
+    (0, 2, 3, 4, 5, 6, 7, 9),
+)
+EXPORT_LABELS = ("a,b", 'say "hi"', "plain", "a,b")
+
+
+def export_reference_table() -> Table:
+    rng = np.random.default_rng(5)
+    full = [
+        [EXPORT_LABELS[r % 4], *rng.normal(size=6).tolist(), "pq"[r % 2], f"note {r % 3}", r / 2]
+        for r in range(len(EXPORT_OBSERVED))
+    ]
+    rows = [
+        [v if c in seen else None for c, v in enumerate(row)]
+        for row, seen in zip(full, EXPORT_OBSERVED)
+    ]
+    return Table(DatasetSchema(EXPORT_COLUMNS, name="export"), rows)
+
+
+@pytest.mark.parametrize("block_rows", [2, 256])
+@pytest.mark.parametrize("variant", list(EmbedderVariant), ids=lambda v: v.value)
+def test_export_is_bitwise_the_per_row_reference(tmp_path, monkeypatch, variant, block_rows):
+    # Each line is exactly the per-row np.mean (or the cell) written with
+    # format(v, ".17g"), whatever block or observed-count group it falls in.
+    monkeypatch.setattr(experiment_module, "_EXPORT_BLOCK_ROWS", block_rows)
+    table = export_reference_table()
+    schema = table.schema
+    stats = fit_preprocessor(table, schema, text_dim=3)
+    embedder = CellEmbedder(schema, stats, variant, seed=2, n_qubits=4)
+    emb, params = embedder.embed_table(table), None
+    if embedder.mlp_d_in:
+        params = train(
+            table, empty_mask(table), schema, stats, embedder, FAST_MODEL,
+            TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3),
+        ).params
+        emb = mlp_embed(params.tensors, emb)[0]
+    observed = ~missing_mask(table).matrix
+    labels = [row[0] or "" for row in table.rows]
+    lines = {}
+    for mode in ("row_mean", "cell"):
+        export_embeddings(
+            table, schema, stats, variant, seed=2, label_column="ward",
+            path=tmp_path / f"{mode}.csv", mode=mode, n_qubits=4, params=params,
+        )
+        with open(tmp_path / f"{mode}.csv", encoding="utf-8", newline="") as fh:
+            lines[mode] = list(csv.reader(fh))[1:]
+
+    def text(vector):
+        return [format(v, ".17g") for v in vector]
+
+    means = [
+        emb[r][observed[r]].mean(axis=0) if observed[r].any() else np.zeros(emb.shape[2])
+        for r in range(table.n_rows)
+    ]
+    assert not means[0].any()
+    assert lines["row_mean"] == [[str(r), labels[r], *text(m)] for r, m in enumerate(means)]
+    assert lines["cell"] == [
+        [str(r), EXPORT_COLUMNS[c].name, labels[r], *text(emb[r, c])]
+        for r, c in zip(*np.nonzero(observed))
+    ]
+    assert len(lines["cell"]) == sum(len(seen) for seen in EXPORT_OBSERVED)

@@ -1,13 +1,15 @@
 """Property tests: every imputer keeps observed cells and fills masked ones,
 blocked k-NN and iterative ridge match their reference implementations
-bitwise, tables survive a CSV save/load round trip, and ``Mask.union``
-keeps its algebra.
+bitwise, tables survive a CSV save/load round trip, ``Mask.union``
+keeps its algebra, and cell embeddings and their CSV export follow a
+permutation of the table's rows bitwise.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
 the suite stays reproducible.
 """
 
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimpute import baselines
+from qimpute import baselines, experiment
 from qimpute.baselines import (
     BaselineConfig,
     iterative_ridge_impute,
@@ -27,6 +29,7 @@ from qimpute.baselines import (
 )
 from qimpute.encoding import CellEmbedder, EmbedderVariant, fit_preprocessor
 from qimpute.errors import ContractViolation
+from qimpute.experiment import export_embeddings
 from qimpute.model import ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -552,3 +555,49 @@ def test_mask_union_rejects_a_shape_mismatch(masks, grow, data):
     at = data.draw(st.integers(0, len(masks)))
     with pytest.raises(ValueError, match="shapes differ"):
         Mask.union(*masks[:at], odd, *masks[at:])
+
+
+# ---------------------------------------------------------------------------
+# row order: embeddings and their export
+# ---------------------------------------------------------------------------
+
+WIDE_SCHEMA = DatasetSchema(
+    SCHEMA.columns + tuple(ColumnSpec(f"{spec.name}2", spec.kind) for spec in SCHEMA.columns),
+    name="wide",
+)
+
+
+def exported_lines(path, rows):
+    """The CSV's lines after the header, grouped by row_id."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    return [[rec[1:] for rec in records if rec[0] == str(r)] for r in range(rows)]
+
+
+@CSV_SETTINGS
+@given(
+    case=masked_tables(schema=WIDE_SCHEMA, max_rows=12),
+    variant=st.sampled_from(list(EmbedderVariant)),
+    data=st.data(),
+)
+def test_embeddings_and_export_follow_a_row_permutation(tmp_path, case, variant, data):
+    # A row's embeddings and exported lines do not depend on which rows
+    # share its 3-row export block or its observed-count group.
+    table = apply_mask(*case)
+    perm = data.draw(st.permutations(range(table.n_rows)))
+    permuted = Table(WIDE_SCHEMA, [table.rows[p] for p in perm])
+    stats = fit_preprocessor(table, WIDE_SCHEMA, text_dim=4)
+    embedder = CellEmbedder(WIDE_SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
+    assert np.array_equal(embedder.embed_table(permuted), embedder.embed_table(table)[perm])
+    params = init_params(WIDE_SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
+    for mode in ("row_mean", "cell"):
+        lines = []
+        for name, t in (("original", table), ("permuted", permuted)):
+            path = tmp_path / f"{name}_{mode}.csv"
+            with mock.patch.object(experiment, "_EXPORT_BLOCK_ROWS", 3):
+                export_embeddings(
+                    t, WIDE_SCHEMA, stats, variant, seed=1, label_column="g", path=path,
+                    mode=mode, n_qubits=4, n_layers=1, params=params,
+                )
+            lines.append(exported_lines(path, table.n_rows))
+        assert lines[1] == [lines[0][p] for p in perm]
