@@ -561,9 +561,9 @@ def test_mask_union_rejects_a_shape_mismatch(masks, grow, data):
 # row order: embeddings and their export
 # ---------------------------------------------------------------------------
 
-WIDE_SCHEMA = DatasetSchema(
+MIXED_WIDE_SCHEMA = DatasetSchema(
     SCHEMA.columns + tuple(ColumnSpec(f"{spec.name}2", spec.kind) for spec in SCHEMA.columns),
-    name="wide",
+    name="mixed_wide",
 )
 
 
@@ -576,7 +576,7 @@ def exported_lines(path, rows):
 
 @CSV_SETTINGS
 @given(
-    case=masked_tables(schema=WIDE_SCHEMA, max_rows=12),
+    case=masked_tables(schema=MIXED_WIDE_SCHEMA, max_rows=12),
     variant=st.sampled_from(list(EmbedderVariant)),
     data=st.data(),
 )
@@ -585,18 +585,18 @@ def test_embeddings_and_export_follow_a_row_permutation(tmp_path, case, variant,
     # share its 3-row export block or its observed-count group.
     table = apply_mask(*case)
     perm = data.draw(st.permutations(range(table.n_rows)))
-    permuted = Table(WIDE_SCHEMA, [table.rows[p] for p in perm])
-    stats = fit_preprocessor(table, WIDE_SCHEMA, text_dim=4)
-    embedder = CellEmbedder(WIDE_SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
+    permuted = Table(MIXED_WIDE_SCHEMA, [table.rows[p] for p in perm])
+    stats = fit_preprocessor(table, MIXED_WIDE_SCHEMA, text_dim=4)
+    embedder = CellEmbedder(MIXED_WIDE_SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
     assert np.array_equal(embedder.embed_table(permuted), embedder.embed_table(table)[perm])
-    params = init_params(WIDE_SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
+    params = init_params(MIXED_WIDE_SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
     for mode in ("row_mean", "cell"):
         lines = []
         for name, t in (("original", table), ("permuted", permuted)):
             path = tmp_path / f"{name}_{mode}.csv"
             with mock.patch.object(experiment, "_EXPORT_BLOCK_ROWS", 3):
                 export_embeddings(
-                    t, WIDE_SCHEMA, stats, variant, seed=1, label_column="g", path=path,
+                    t, MIXED_WIDE_SCHEMA, stats, variant, seed=1, label_column="g", path=path,
                     mode=mode, n_qubits=4, n_layers=1, params=params,
                 )
             lines.append(exported_lines(path, table.n_rows))
