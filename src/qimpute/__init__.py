@@ -71,7 +71,6 @@ from .tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
     inject_mcar,

@@ -27,7 +27,6 @@ from .tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
 )
@@ -188,21 +187,24 @@ class SyntheticDataset:
 
 def _draw_base(rng, params, class_idx) -> np.ndarray:
     """Per-class Gaussian draw, vectorized over rows."""
-    means = np.array([m for m, _ in params])[class_idx]
-    stds = np.array([s for _, s in params])[class_idx]
+    means, stds = np.array(params)[class_idx].T
     return means + stds * rng.standard_normal(class_idx.size)
 
 
 def _draw_dependent(rng, low, high, rule, base, class_idx) -> np.ndarray:
     """Two-component mixture; the context rule picks the component per row."""
-    in_high = rule(base)
-    low_mean = np.array([m for m, _ in low])[class_idx]
-    low_std = np.array([s for _, s in low])[class_idx]
-    high_mean = np.array([m for m, _ in high])[class_idx]
-    high_std = np.array([s for _, s in high])[class_idx]
-    means = np.where(in_high, high_mean, low_mean)
-    stds = np.where(in_high, high_std, low_std)
+    in_high = rule(base)[:, None]
+    means, stds = np.where(in_high, np.array(high)[class_idx], np.array(low)[class_idx]).T
     return means + stds * rng.standard_normal(class_idx.size)
+
+
+def _draw_categories(vocab, probs, group, u) -> list[str]:
+    """Inverse-CDF draw per row: row ``r`` reads the table ``probs[group[r]]``."""
+    idx = np.empty(u.size, dtype=int)
+    for g, table in enumerate(probs):
+        sel = group == g
+        idx[sel] = np.searchsorted(np.cumsum(table), u[sel], side="right")
+    return [vocab[i] for i in np.minimum(idx, len(vocab) - 1).tolist()]
 
 
 def synth_healthcare_generate(n_rows: int, seed: int) -> SyntheticDataset:
@@ -221,58 +223,30 @@ def synth_healthcare_generate(n_rows: int, seed: int) -> SyntheticDataset:
     for col, params in _BASE_VITALS.items():
         numeric_values[col] = _draw_base(rng, params, class_idx)
     for col, (low, high, rule) in _DEPENDENT_VITALS.items():
-        numeric_values[col] = _draw_dependent(
-            rng, low, high, rule, numeric_values, class_idx
-        )
+        numeric_values[col] = _draw_dependent(rng, low, high, rule, numeric_values, class_idx)
 
-    categorical_values: dict[str, list[str]] = {}
+    columns: dict[str, list] = {col: v.tolist() for col, v in numeric_values.items()}
     for col, (vocab, probs) in _CATEGORICAL_TABLES.items():
-        u = rng.random(n_rows)
-        idx = np.empty(n_rows, dtype=int)
-        for ci in range(len(DIAGNOSES)):
-            edges = np.cumsum(probs[ci])
-            sel = class_idx == ci
-            idx[sel] = np.searchsorted(edges, u[sel], side="right")
-        idx = np.minimum(idx, len(vocab) - 1)
-        categorical_values[col] = [vocab[i] for i in idx]
+        columns[col] = _draw_categories(vocab, probs, class_idx, rng.random(n_rows))
     for col, (vocab, calm, escalated, rule) in _CONTEXT_CATEGORICALS.items():
         u = rng.random(n_rows)
-        fired = rule(numeric_values)
-        idx = np.empty(n_rows, dtype=int)
-        for ci in range(len(DIAGNOSES)):
-            for esc in (False, True):
-                sel = (class_idx == ci) & (fired == esc)
-                edges = np.cumsum((escalated if esc else calm)[ci])
-                idx[sel] = np.searchsorted(edges, u[sel], side="right")
-        idx = np.minimum(idx, len(vocab) - 1)
-        categorical_values[col] = [vocab[i] for i in idx]
+        # calm + escalated: a row the rule fires on reads table class + 3
+        group = class_idx + len(DIAGNOSES) * rule(numeric_values)
+        columns[col] = _draw_categories(vocab, calm + escalated, group, u)
+    classes = class_idx.tolist()
+    columns["diagnosis"] = [DIAGNOSES[ci] for ci in classes]
+    notes = {"triage_note": _TRIAGE_TEMPLATES, "nursing_note": _NURSING_TEMPLATES}
+    for col, templates in notes.items():
+        pick = rng.integers(0, 3, size=n_rows).tolist()
+        columns[col] = [templates[ci][k] for ci, k in zip(classes, pick)]
 
-    triage_pick = rng.integers(0, 3, size=n_rows)
-    nursing_pick = rng.integers(0, 3, size=n_rows)
-
-    truth_rows: list[list] = []
-    for r in range(n_rows):
-        ci = int(class_idx[r])
-        row: list = []
-        for spec in HEALTHCARE_COLUMNS:
-            if spec.name == "diagnosis":
-                row.append(DIAGNOSES[ci])
-            elif spec.name == "triage_note":
-                row.append(_TRIAGE_TEMPLATES[ci][triage_pick[r]])
-            elif spec.name == "nursing_note":
-                row.append(_NURSING_TEMPLATES[ci][nursing_pick[r]])
-            elif spec.kind == ColumnKind.NUMERIC:
-                row.append(float(numeric_values[spec.name][r]))
-            else:
-                row.append(categorical_values[spec.name][r])
-        truth_rows.append(row)
-
-    truth = Table(HEALTHCARE_SCHEMA, truth_rows)
+    in_order = (columns[spec.name] for spec in HEALTHCARE_COLUMNS)
+    truth = Table(HEALTHCARE_SCHEMA, [list(row) for row in zip(*in_order)])
 
     bp_col = HEALTHCARE_SCHEMA.index("blood_pressure")
     matrix = np.zeros((n_rows, HEALTHCARE_SCHEMA.n_columns), dtype=bool)
     matrix[class_idx == 0, bp_col] = True
-    mnar = Mask(matrix, MaskProvenance.INJECTED_MNAR)
+    mnar = Mask(matrix)
     return SyntheticDataset(table=apply_mask(truth, mnar), truth=truth, mnar_mask=mnar)
 
 

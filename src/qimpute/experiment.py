@@ -104,7 +104,6 @@ class PreparedSplit:
     schema: DatasetSchema
     working: Table
     truth: Table
-    full_mask: Mask  # everything missing in the working table
     eval_mask: Mask  # held-out cells to score (injected MCAR + generator MNAR)
     stats: PreprocessStats
     mask_hash: str
@@ -122,17 +121,15 @@ def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
         mnar = empty_mask(base)
     mcar = inject_mcar(base, config.missing_rate, seed=seed)
     working = apply_mask(base, mcar)
-    full_mask = missing_mask(working)
     eval_mask = Mask.union(mcar, mnar)
     stats = fit_preprocessor(working, schema, text_dim=config.text_dim)
     return PreparedSplit(
         schema=schema,
         working=working,
         truth=truth,
-        full_mask=full_mask,
         eval_mask=eval_mask,
         stats=stats,
-        mask_hash=full_mask.content_hash(),
+        mask_hash=missing_mask(working).content_hash(),
     )
 
 

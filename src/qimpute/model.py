@@ -139,12 +139,12 @@ def init_params(
 class Batch:
     """One training or inference batch of full rows.
 
-    ``features`` holds the model input per cell, zeros at token-masked
-    positions: cell embeddings for a fixed-embedding model, classical
-    vectors for one with the trainable MLP embedder. ``token_masked`` flags
-    cells whose token is the learned mask vector: genuinely missing cells
-    plus any supervision targets. Target arrays list supervision positions
-    only.
+    ``features`` holds the model input per cell: cell embeddings for a
+    fixed-embedding model, classical vectors for one with the trainable MLP
+    embedder. ``token_masked`` flags cells whose token is the learned mask
+    vector: genuinely missing cells plus any supervision targets. Features
+    at token-masked cells are never read. Target arrays list supervision
+    positions only.
     """
 
     token_masked: np.ndarray  # (B, C) bool
@@ -181,7 +181,7 @@ class LossBreakdown:
 class _Cache:
     """Forward intermediates needed by the analytic backward pass."""
 
-    __slots__ = ("live", "local", "inputs", "emb", "mlp_act", "blocks", "proj_grad_gate")
+    __slots__ = ("live", "local", "inputs", "emb", "mlp_act", "blocks")
 
     def __init__(self):
         self.blocks = []
@@ -315,9 +315,9 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
 
     # Tokens are kept as an (N, d_model) matrix, N = live rows * C, so
     # every projection is one gemm; attention reshapes to head-major views.
-    gate = ~masked[..., None]
-    cache.proj_grad_gate = gate
-    projected = (emb * gate).reshape(n_live * c, emb.shape[2]) @ t["in_proj.w"]
+    # This is the one place that masks tokens: a token-masked cell's input
+    # is never read, the mask vector replaces its projection.
+    projected = emb.reshape(n_live * c, emb.shape[2]) @ t["in_proj.w"]
     x = np.where(masked.reshape(n_live * c, 1), t["mask_emb"], projected)
     tokens = x.reshape(n_live, c, cfg.d_model)
     tokens += t["col_emb"]
@@ -533,14 +533,13 @@ def loss_and_gradients(
     if cfg.n_blocks == 0:
         dx = _scatter_rows(dx, cache.local, b * c)
 
-    # input stage
-    gate = cache.proj_grad_gate.reshape(b * c, 1)
+    # input stage: the projection's gradient is 0 at token-masked cells
     grads["mask_emb"] = dx[masked.reshape(-1)].sum(axis=0)
     grads["col_emb"] = dx.reshape(b, c, d).sum(axis=0)
-    d_projected = dx * gate
-    grads["in_proj.w"] = _weight_grad(cache.emb * cache.proj_grad_gate, d_projected)
+    d_projected = dx * ~masked.reshape(b * c, 1)
+    grads["in_proj.w"] = _weight_grad(cache.emb, d_projected)
     if params.with_mlp:
-        d_emb = (d_projected @ t["in_proj.w"].T) * gate
+        d_emb = d_projected @ t["in_proj.w"].T
         grads["mlp.w2"] = _weight_grad(cache.mlp_act, d_emb)
         grads["mlp.b2"] = _column_sums(d_emb)
         d_pre = d_emb @ t["mlp.w2"].T

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -148,19 +148,11 @@ def _canonical_cell(v: CellValue) -> str:
     return "s" + v
 
 
-class MaskProvenance(Enum):
-    NATIVE = "native"
-    INJECTED_MCAR = "mcar"
-    INJECTED_MNAR = "mnar"
-    MIXED = "mixed"
-
-
 @dataclass
 class Mask:
     """Boolean missing/held-out overlay; True marks a masked cell."""
 
     matrix: np.ndarray
-    provenance: MaskProvenance = MaskProvenance.NATIVE
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=bool)
@@ -183,9 +175,7 @@ class Mask:
             if m.matrix.shape != combined.shape:
                 raise ValueError("mask shapes differ")
             combined |= m.matrix
-        tags = {m.provenance for m in masks}
-        prov = tags.pop() if len(tags) == 1 else MaskProvenance.MIXED
-        return Mask(combined, prov)
+        return Mask(combined)
 
 
 def missing_mask(table: Table) -> Mask:
@@ -193,7 +183,7 @@ def missing_mask(table: Table) -> Mask:
     matrix = np.array(
         [[cell is None for cell in row] for row in table.rows], dtype=bool
     ).reshape(table.n_rows, table.schema.n_columns)
-    return Mask(matrix, MaskProvenance.NATIVE)
+    return Mask(matrix)
 
 
 def empty_mask(table: Table) -> Mask:
@@ -230,7 +220,7 @@ def inject_mcar(table: Table, rate: float, seed: int) -> Mask:
     eligible = ~missing_mask(table).matrix
     for j in table.schema.indices_of(ColumnKind.TEXT):
         eligible[:, j] = False
-    return Mask((draws < rate) & eligible, MaskProvenance.INJECTED_MCAR)
+    return Mask((draws < rate) & eligible)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +361,7 @@ def save_mask(mask: Mask, schema: DatasetSchema, path) -> None:
             writer.writerow(["1" if v else "0" for v in row])
 
 
-def load_mask(path, schema: DatasetSchema, provenance=MaskProvenance.MIXED) -> Mask:
+def load_mask(path, schema: DatasetSchema) -> Mask:
     """Read a 0/1 mask CSV written by :func:`save_mask`.
 
     The header must match the schema; every record must have one field per
@@ -400,4 +390,4 @@ def load_mask(path, schema: DatasetSchema, provenance=MaskProvenance.MIXED) -> M
                         f"{path}: mask field {field!r} is not 0 or 1", row=lineno, column=name
                     )
             matrix.append([field == "1" for field in record])
-    return Mask(np.array(matrix, dtype=bool).reshape(-1, schema.n_columns), provenance)
+    return Mask(np.array(matrix, dtype=bool).reshape(-1, schema.n_columns))

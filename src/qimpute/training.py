@@ -28,7 +28,7 @@ from .encoding import (
     PreprocessStats,
     TextColumnStats,
 )
-from .errors import CheckpointError, ConfigError, FitError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, ContractViolation, FitError, TrainingDiverged
 from .model import (
     Batch,
     ModelConfig,
@@ -155,6 +155,13 @@ def _targets(
     return num_targets, cat_targets
 
 
+def _embedders_own(schema, stats, embedder: CellEmbedder):
+    """The embedder's schema and stats; a caller's that are not the embedder's raise."""
+    if schema.columns != embedder.schema.columns or stats is not embedder.stats:
+        raise ContractViolation("the schema and stats passed must be the embedder's own")
+    return embedder.schema, embedder.stats
+
+
 def train(
     table: Table,
     mask: Mask,
@@ -168,8 +175,10 @@ def train(
 
     ``mask`` marks held-out cells on top of the table's own missing cells;
     both are treated as genuinely missing (mask tokens, never targets).
-    Returns the trained parameters and the per-epoch mean loss.
+    Returns the trained parameters and the per-epoch mean loss. ``schema``
+    and ``stats`` must be the embedder's own.
     """
+    schema, stats = _embedders_own(schema, stats, embedder)
     observed = ~(missing_mask(table).matrix | mask.matrix)
     n_rows, n_cols = observed.shape
 
@@ -219,19 +228,18 @@ def train(
 def _assemble_batch(
     rows, sup, observed, features, num_targets, cat_targets, is_numeric, config
 ) -> Batch:
-    token_masked = ~observed[rows] | sup
     sup_r, sup_c = np.nonzero(sup)
     numeric_sel = is_numeric[sup_c]
     numeric_pos = np.stack([sup_r[numeric_sel], sup_c[numeric_sel]], axis=1)
     cat_pos = np.stack([sup_r[~numeric_sel], sup_c[~numeric_sel]], axis=1)
-    batch_rows = rows  # global row ids for target lookup
+    # targets are looked up by global row id: rows[batch row]
     return Batch(
-        token_masked=token_masked,
-        features=features[rows] * ~token_masked[..., None],
+        token_masked=~observed[rows] | sup,
+        features=features[rows],
         numeric_pos=numeric_pos,
-        numeric_targets=num_targets[batch_rows[numeric_pos[:, 0]], numeric_pos[:, 1]],
+        numeric_targets=num_targets[rows[numeric_pos[:, 0]], numeric_pos[:, 1]],
         categorical_pos=cat_pos,
-        categorical_targets=cat_targets[batch_rows[cat_pos[:, 0]], cat_pos[:, 1]],
+        categorical_targets=cat_targets[rows[cat_pos[:, 0]], cat_pos[:, 1]],
         loss_weights=(config.numeric_loss_weight, config.categorical_loss_weight),
     )
 
@@ -250,10 +258,11 @@ def impute_table(
     Numeric outputs are mapped back from normalized space to column units
     and clamped to the fitted range widened by 10% on each side;
     categorical outputs are the argmax category. Observed cells are copied
-    unchanged; missing text cells stay missing.
+    unchanged; missing text cells stay missing. ``schema`` and ``stats``
+    must be the embedder's own.
     """
+    schema, stats = _embedders_own(schema, stats, embedder)
     observed = ~(missing_mask(table).matrix | mask.matrix)
-    # embed_table zeroes every cell that is not observed: no masking needed
     features = embedder.embed_table(table, mask)
     cells = []
     for start in range(0, table.n_rows, batch_rows):

@@ -39,7 +39,6 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
     inject_mcar,
@@ -188,7 +187,7 @@ def test_criterion_05_training_halves_loss_on_toy_data():
     embedder = CellEmbedder(
         table.schema, stats, EmbedderVariant.QUANTUM_IQP, seed=0, n_qubits=8, n_layers=2
     )
-    empty = Mask(np.zeros(mask.matrix.shape, dtype=bool), MaskProvenance.INJECTED_MCAR)
+    empty = Mask(np.zeros(mask.matrix.shape, dtype=bool))
     result = train(
         working, empty, table.schema, stats, embedder, ModelConfig(),
         TrainConfig(epochs=30, batch_size=32, learning_rate=1e-3, seed=0),
@@ -211,14 +210,14 @@ def test_criterion_06_metric_hand_values():
     stats = fit_preprocessor(Table(num_schema, [[0.0], [1.0]]), num_schema)
     truth = Table(num_schema, [[0.0], [0.0]])
     imputed = Table(num_schema, [[0.3], [0.4]])
-    mask = Mask(np.array([[True], [True]]), MaskProvenance.INJECTED_MCAR)
+    mask = Mask(np.array([[True], [True]]))
     rmse = rmse_numeric(imputed, truth, mask, stats)
     assert abs(rmse - math.sqrt((0.09 + 0.16) / 2.0)) < 1e-12
 
     cat_schema = DatasetSchema((ColumnSpec("g", ColumnKind.CATEGORICAL),))
     truth_cat = Table(cat_schema, [["a"], ["a"], ["b"], ["b"]])
     pred_cat = Table(cat_schema, [["a"], ["b"], ["b"], ["b"]])
-    mask_cat = Mask(np.full((4, 1), True), MaskProvenance.INJECTED_MCAR)
+    mask_cat = Mask(np.full((4, 1), True))
     f1 = macro_f1_categorical(pred_cat, truth_cat, mask_cat)
     assert abs(f1 - 11.0 / 15.0) < 1e-12
     _report(6, "RMSE and macro F1 reproduce the hand-computed examples",
@@ -235,10 +234,7 @@ def test_criterion_07_baseline_hand_values():
     # truths {8,10}; fitted range [0,6]; hand value sqrt(37)/6.
     schema = DatasetSchema((ColumnSpec("v", ColumnKind.NUMERIC),))
     table = Table(schema, [[0.0], [2.0], [4.0], [6.0], [8.0], [10.0]])
-    mask = Mask(
-        np.array([[False], [False], [False], [False], [True], [True]]),
-        MaskProvenance.INJECTED_MCAR,
-    )
+    mask = Mask(np.array([[False], [False], [False], [False], [True], [True]]))
     working = apply_mask(table, mask)
     stats = fit_preprocessor(working, schema)
     imputed = mean_mode_impute(working, Mask(np.zeros((6, 1), dtype=bool)))

@@ -18,7 +18,6 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
     inject_mcar,
@@ -26,10 +25,7 @@ from qimpute.tabular import (
 
 
 def no_extra_mask(table):
-    return Mask(
-        np.zeros((table.n_rows, table.schema.n_columns), dtype=bool),
-        MaskProvenance.INJECTED_MCAR,
-    )
+    return Mask(np.zeros((table.n_rows, table.schema.n_columns), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +73,7 @@ def test_mean_mode_all_missing_column_errors():
 def test_mean_mode_respects_extra_mask():
     schema = DatasetSchema((ColumnSpec("v", ColumnKind.NUMERIC),))
     table = Table(schema, [[2.0], [10.0], [4.0]])
-    mask = Mask(np.array([[False], [True], [False]]), MaskProvenance.INJECTED_MCAR)
+    mask = Mask(np.array([[False], [True], [False]]))
     out = mean_mode_impute(table, mask)
     assert out.rows[1][0] == 3.0  # the masked 10.0 is held out of the mean
 

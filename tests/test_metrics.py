@@ -12,7 +12,6 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
 )
 
@@ -21,7 +20,7 @@ CAT_SCHEMA = DatasetSchema((ColumnSpec("g", ColumnKind.CATEGORICAL),))
 
 
 def mask_for(schema, flags):
-    return Mask(np.array(flags, dtype=bool), MaskProvenance.INJECTED_MCAR)
+    return Mask(np.array(flags, dtype=bool))
 
 
 def stats_minmax(vmin, vmax):
@@ -147,7 +146,7 @@ def test_macro_f1_pools_per_column_classes():
     )
     truth = Table(schema, [["a", "a"], ["b", "a"]])
     imputed = Table(schema, [["a", "a"], ["b", "a"]])
-    mask = Mask(np.ones((2, 2), dtype=bool), MaskProvenance.INJECTED_MCAR)
+    mask = Mask(np.ones((2, 2), dtype=bool))
     # identical category strings in different columns stay separate classes
     assert macro_f1_categorical(imputed, truth, mask) == 1.0
 
@@ -235,7 +234,7 @@ def test_metrics_match_brute_force_on_random_instances():
         ]
         truth = Table(schema, [list(r) for r in truth_rows])
         imputed = Table(schema, [list(r) for r in imputed_rows])
-        mask = Mask(rng.random((n, 4)) < 0.6, MaskProvenance.INJECTED_MCAR)
+        mask = Mask(rng.random((n, 4)) < 0.6)
         stats = fit_preprocessor(truth, schema)
 
         ours = rmse_numeric(imputed, truth, mask, stats)

@@ -4,6 +4,8 @@ The gradient oracle is central finite differences of ``loss_value`` with
 h = 1e-5, compared entrywise at relative error 1e-4.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,32 @@ def test_gradients_with_mixed_loss_weights():
 # ---------------------------------------------------------------------------
 # init and bookkeeping
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_blocks", [0, 2])
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_features_at_token_masked_cells_are_never_read(n_blocks, mlp_d_in):
+    # _forward puts the mask vector in place of a token-masked cell's
+    # projection, so what the batch holds there changes no bit of the loss,
+    # a gradient or a prediction, for an MLP input too.
+    rng = np.random.default_rng(12)
+    config = replace(TINY, n_blocks=n_blocks)
+    params = tiny_params(seed=3, mlp_d_in=mlp_d_in, config=config)
+    batch = tiny_batch(rng, with_mlp=mlp_d_in > 0)
+    features = batch.features.copy()
+    features[batch.token_masked] = 50.0 * rng.normal(size=features[batch.token_masked].shape)
+    noisy = replace(batch, features=features)
+    (loss, grads), (noisy_loss, noisy_grads) = (
+        loss_and_gradients(params, b) for b in (batch, noisy)
+    )
+    assert noisy_loss == loss
+    for name, g in grads.items():
+        assert noisy_grads[name].tobytes() == g.tobytes(), name
+    preds, noisy_preds = predict_masked(params, batch), predict_masked(params, noisy)
+    assert noisy_preds.keys() == preds.keys()
+    for col, (rows, values) in preds.items():
+        assert np.array_equal(noisy_preds[col][0], rows)
+        assert noisy_preds[col][1].tobytes() == values.tobytes(), col
 
 
 def test_init_deterministic_and_counts():

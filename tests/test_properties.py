@@ -36,7 +36,6 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
     load_csv,
@@ -515,14 +514,9 @@ def test_csv_save_refuses_a_cell_that_would_load_as_missing(tmp_path, table, dat
 
 @st.composite
 def mask_lists(draw):
-    """One to four masks of one shape; half the time they share a provenance."""
+    """One to four masks of one shape."""
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    n = draw(st.integers(1, 4))
-    provenances = st.sampled_from(list(MaskProvenance))
-    shared = draw(provenances) if draw(st.booleans()) else None
-    return [
-        Mask(draw(arrays(bool, shape)), shared or draw(provenances)) for _ in range(n)
-    ]
+    return [Mask(draw(arrays(bool, shape))) for _ in range(draw(st.integers(1, 4)))]
 
 
 @PROPERTY_SETTINGS
@@ -535,16 +529,10 @@ def test_mask_union_algebra(masks, data):
     # commutative: every order gives the same mask
     shuffled = Mask.union(*data.draw(st.permutations(masks)))
     assert np.array_equal(shuffled.matrix, union.matrix)
-    assert shuffled.provenance == union.provenance
     # idempotent: a mask united with itself is itself
     for m in masks:
         again = Mask.union(m, m)
-        assert np.array_equal(again.matrix, m.matrix) and again.provenance == m.provenance
-    # one shared provenance is kept; mixed provenances give MIXED
-    if all(m.provenance == masks[0].provenance for m in masks):
-        assert union.provenance == masks[0].provenance
-    else:
-        assert union.provenance == MaskProvenance.MIXED
+        assert np.array_equal(again.matrix, m.matrix)
 
 
 @PROPERTY_SETTINGS

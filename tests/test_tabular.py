@@ -13,7 +13,6 @@ from qimpute.tabular import (
     ColumnSpec,
     DatasetSchema,
     Mask,
-    MaskProvenance,
     Table,
     apply_mask,
     inject_mcar,
@@ -117,7 +116,6 @@ def test_table_rejects_an_int_numeric_cell():
 
 def test_missing_mask():
     m = missing_mask(make_table())
-    assert m.provenance is MaskProvenance.NATIVE
     assert m.count == 3
     assert m.matrix[1, 0] and m.matrix[2, 1] and m.matrix[2, 2]
 
@@ -213,7 +211,7 @@ def test_apply_mask_blanks_cells():
     table = make_table()
     matrix = np.zeros((3, 3), dtype=bool)
     matrix[0, 0] = True
-    worked = apply_mask(table, Mask(matrix, MaskProvenance.INJECTED_MCAR))
+    worked = apply_mask(table, Mask(matrix))
     assert worked.rows[0][0] is None
     assert table.rows[0][0] == 3.5  # original untouched
 
@@ -259,12 +257,10 @@ def test_inject_mcar_binomial_bound():
         assert abs(count - n * p) <= 3 * sigma
 
 
-def test_mask_union_mixed_provenance():
-    a = Mask(np.array([[True, False]]), MaskProvenance.INJECTED_MCAR)
-    b = Mask(np.array([[False, True]]), MaskProvenance.INJECTED_MNAR)
-    u = Mask.union(a, b)
-    assert u.count == 2
-    assert u.provenance is MaskProvenance.MIXED
+def test_mask_union_of_disjoint_masks_counts_both():
+    a = Mask(np.array([[True, False]]))
+    b = Mask(np.array([[False, True]]))
+    assert Mask.union(a, b).count == 2
 
 
 def test_content_hash_changes_with_cells():

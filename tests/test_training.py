@@ -12,7 +12,7 @@ import qimpute.model as model_module
 import qimpute.training as training_module
 from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
-from qimpute.errors import CheckpointError, FitError, TrainingDiverged
+from qimpute.errors import CheckpointError, ContractViolation, FitError, TrainingDiverged
 from qimpute.model import LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -393,6 +393,23 @@ def test_impute_deterministic():
     a = impute_table(table, mask, table.schema, stats, embedder, params)
     b = impute_table(table, mask, table.schema, stats, embedder, params)
     assert a.content_hash() == b.content_hash()
+
+
+@pytest.mark.parametrize("what", ["stats", "schema"])
+def test_train_and_impute_reject_a_schema_or_stats_not_the_embedders(what):
+    # Stats refit on five other rows would rescale every numeric fill without
+    # an error; the model reads its inputs only through its embedder's own.
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    schema = table.schema
+    if what == "stats":
+        stats = fit_preprocessor(make_toy_table(n_rows=5, seed=9), schema)
+    else:
+        schema = DatasetSchema(schema.columns[::-1], name=schema.name)
+    config = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=1e-3)
+    with pytest.raises(ContractViolation, match="embedder's own"):
+        impute_table(table, mask, schema, stats, embedder, params)
+    with pytest.raises(ContractViolation, match="embedder's own"):
+        train(table, mask, schema, stats, embedder, SMALL_MODEL, config)
 
 
 # ---------------------------------------------------------------------------
