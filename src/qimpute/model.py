@@ -143,26 +143,22 @@ class Batch:
     fixed-embedding model, classical vectors for one with the trainable MLP
     embedder. ``token_masked`` flags cells whose token is the learned mask
     vector: genuinely missing cells plus any supervision targets. Features
-    at token-masked cells are never read. Target arrays list supervision
-    positions only.
+    at token-masked cells are never read. ``supervised`` flags the cells
+    the loss reads (none by default); the target arrays are read only at
+    supervised cells of their kind.
     """
 
     token_masked: np.ndarray  # (B, C) bool
     features: np.ndarray  # (B, C, mlp_d_in or embed_dim)
-    numeric_pos: np.ndarray | None = None  # (Kn, 2) ints [batch row, column]
-    numeric_targets: np.ndarray | None = None  # (Kn,) normalized [0, 1]
-    categorical_pos: np.ndarray | None = None  # (Kc, 2)
-    categorical_targets: np.ndarray | None = None  # (Kc,) class indices
+    supervised: np.ndarray | None = None  # (B, C) bool
+    numeric_targets: np.ndarray | None = None  # (B, C) normalized [0, 1]
+    categorical_targets: np.ndarray | None = None  # (B, C) class indices
     loss_weights: tuple[float, float] = (1.0, 1.0)  # (numeric, categorical)
 
     def __post_init__(self):
         self.token_masked = np.asarray(self.token_masked, dtype=bool)
-        if self.numeric_pos is None:
-            self.numeric_pos = np.zeros((0, 2), dtype=int)
-            self.numeric_targets = np.zeros(0)
-        if self.categorical_pos is None:
-            self.categorical_pos = np.zeros((0, 2), dtype=int)
-            self.categorical_targets = np.zeros(0, dtype=int)
+        if self.supervised is None:
+            self.supervised = np.zeros(self.token_masked.shape, dtype=bool)
 
     @property
     def n_rows(self) -> int:
@@ -370,26 +366,18 @@ def _block_forward(t, p, x_in, shape, cfg, store, keep):
     return x
 
 
-def _group_by_column(positions: np.ndarray):
-    """Yield (column, row-index array) in ascending column order."""
-    if positions.shape[0] == 0:
-        return
-    cols = positions[:, 1]
-    for col in np.unique(cols):
-        sel = np.flatnonzero(cols == col)
-        yield int(col), positions[sel, 0], sel
+def head_outputs(params: ModelParams, hidden: np.ndarray, cells: np.ndarray):
+    """Apply each column's head at the cells flagged in the (B, C) mask ``cells``.
 
-
-def head_outputs(params: ModelParams, hidden: np.ndarray, positions: np.ndarray):
-    """Apply each column's head at the given (row, column) positions.
-
-    Returns {column: (batch rows, predictions)} where predictions are
-    scalars for numeric columns and logit matrices for categorical ones.
+    Returns {column: (batch rows, predictions)} in ascending column order,
+    rows ascending, where predictions are scalars for numeric columns and
+    logit matrices for categorical ones.
     """
     t = params.tensors
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for col, rows, _ in _group_by_column(positions):
+    for col in np.flatnonzero(cells.any(axis=0)):
         spec = params.columns[col]
+        rows = np.flatnonzero(cells[:, col])
         h = hidden[rows, col]
         if spec.kind == ColumnKind.NUMERIC:
             preds = h @ t[f"head.num.{spec.name}.w"] + t[f"head.num.{spec.name}.b"]
@@ -397,49 +385,43 @@ def head_outputs(params: ModelParams, hidden: np.ndarray, positions: np.ndarray)
             preds = h @ t[f"head.cat.{spec.name}.w"].T + t[f"head.cat.{spec.name}.b"]
         else:
             raise ContractViolation(f"column {spec.name!r} is text and has no head")
-        out[col] = (rows, preds)
+        out[int(col)] = (rows, preds)
     return out
 
 
 def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
     """Shared by loss_value and loss_and_gradients; returns terms + head grads."""
     w_numeric, w_categorical = batch.loss_weights
-    kn = batch.numeric_pos.shape[0]
-    kc = batch.categorical_pos.shape[0]
+    numeric = np.array([spec.kind == ColumnKind.NUMERIC for spec in params.columns])
+    kn = int(np.count_nonzero(batch.supervised[:, numeric]))
+    kc = int(np.count_nonzero(batch.supervised)) - kn
     d_hidden = np.zeros_like(hidden)
     grads: dict[str, np.ndarray] = {}
 
-    mse_sum = 0.0
-    for col, rows, sel in _group_by_column(batch.numeric_pos):
-        spec = params.columns[col]
-        w = params.tensors[f"head.num.{spec.name}.w"]
-        b = params.tensors[f"head.num.{spec.name}.b"]
+    mse_sum = ce_sum = 0.0
+    for col, (rows, preds) in head_outputs(params, hidden, batch.supervised).items():
         h = hidden[rows, col]
-        preds = h @ w + b
-        err = preds - batch.numeric_targets[sel]
-        mse_sum += float(err @ err)
-        d_pred = (2.0 * w_numeric / kn) * err
-        d_hidden[rows, col] += d_pred[:, None] * w[None, :]
-        grads[f"head.num.{spec.name}.w"] = d_pred @ h
-        grads[f"head.num.{spec.name}.b"] = np.asarray(d_pred.sum())
-
-    ce_sum = 0.0
-    for col, rows, sel in _group_by_column(batch.categorical_pos):
-        spec = params.columns[col]
-        w = params.tensors[f"head.cat.{spec.name}.w"]
-        b = params.tensors[f"head.cat.{spec.name}.b"]
-        h = hidden[rows, col]
-        logits = h @ w.T + b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        targets = batch.categorical_targets[sel]
-        ce_sum += float((log_z - logits[np.arange(len(rows)), targets]).sum())
-        probs = _softmax(logits)
-        probs[np.arange(len(rows)), targets] -= 1.0
-        d_logits = (w_categorical / kc) * probs
-        d_hidden[rows, col] += d_logits @ w
-        grads[f"head.cat.{spec.name}.w"] = d_logits.T @ h
-        grads[f"head.cat.{spec.name}.b"] = d_logits.sum(axis=0)
+        name = f"head.{'num' if numeric[col] else 'cat'}.{params.columns[col].name}"
+        w = params.tensors[name + ".w"]
+        if numeric[col]:
+            err = preds - batch.numeric_targets[rows, col]
+            mse_sum += float(err @ err)
+            d_pred = (2.0 * w_numeric / kn) * err
+            d_hidden[rows, col] += d_pred[:, None] * w[None, :]
+            grads[name + ".w"] = d_pred @ h
+            grads[name + ".b"] = np.asarray(d_pred.sum())
+        else:
+            logits = preds
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+            targets = batch.categorical_targets[rows, col]
+            ce_sum += float((log_z - logits[np.arange(len(rows)), targets]).sum())
+            probs = _softmax(logits)
+            probs[np.arange(len(rows)), targets] -= 1.0
+            d_logits = (w_categorical / kc) * probs
+            d_hidden[rows, col] += d_logits @ w
+            grads[name + ".w"] = d_logits.T @ h
+            grads[name + ".b"] = d_logits.sum(axis=0)
 
     mse = mse_sum / kn if kn else 0.0
     ce = ce_sum / kc if kc else 0.0
@@ -453,15 +435,9 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
     return breakdown, d_hidden, grads
 
 
-def _supervised_tokens(batch: Batch) -> np.ndarray:
-    """Ascending flat token indices (row * C + column) of the supervised cells."""
-    pos = np.concatenate((batch.numeric_pos, batch.categorical_pos))
-    return np.unique(pos[:, 0] * batch.token_masked.shape[1] + pos[:, 1])
-
-
 def loss_value(params: ModelParams, batch: Batch) -> LossBreakdown:
     """Forward pass plus supervised loss; no gradients."""
-    hidden, _ = _forward(params, batch, False, _supervised_tokens(batch))
+    hidden, _ = _forward(params, batch, False, np.flatnonzero(batch.supervised))
     breakdown, _, _ = _loss_terms(params, batch, hidden)
     return breakdown
 
@@ -472,7 +448,7 @@ def loss_and_gradients(
     """Loss plus exact analytic gradients for every parameter tensor."""
     cfg = params.config
     t = params.tensors
-    queries = _supervised_tokens(batch)
+    queries = np.flatnonzero(batch.supervised)
     hidden, cache = forward(params, batch, queries=queries)
     breakdown, d_hidden, grads = _loss_terms(params, batch, hidden)
 
@@ -558,8 +534,7 @@ def predict_masked(params: ModelParams, batch: Batch):
     Returns {column: (batch rows, predictions)}; numeric predictions live
     in normalized target space, categorical predictions are logits.
     """
-    text = [j for j, spec in enumerate(params.columns) if spec.kind == ColumnKind.TEXT]
-    masked = batch.token_masked
-    rows, cols = np.nonzero(masked & ~np.isin(np.arange(masked.shape[1]), text))
-    hidden, _ = _forward(params, batch, False, rows * masked.shape[1] + cols)
-    return head_outputs(params, hidden, np.stack([rows, cols], axis=1))
+    scored = np.array([spec.kind != ColumnKind.TEXT for spec in params.columns])
+    cells = batch.token_masked & scored
+    hidden, _ = _forward(params, batch, False, np.flatnonzero(cells))
+    return head_outputs(params, hidden, cells)

@@ -242,6 +242,7 @@ def load_schema(path) -> DatasetSchema:
     name = "dataset"
     missing_token = ""
     columns: list[ColumnSpec] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -258,6 +259,10 @@ def load_schema(path) -> DatasetSchema:
                         f"{path}: line {lineno}: expected 'name:kind' with kind in "
                         f"{sorted(_KIND_BY_NAME)}, got {line!r}"
                     )
+                if col_name in first_line:
+                    raise QimputeError(f"{path}: line {lineno}: column {col_name!r} "
+                                       f"repeats line {first_line[col_name]}")
+                first_line[col_name] = lineno
                 columns.append(ColumnSpec(col_name, _KIND_BY_NAME[kind_name]))
     if not columns:
         raise QimputeError(f"{path}: schema file defines no columns")

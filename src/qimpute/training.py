@@ -185,8 +185,6 @@ def train(
     eligible = observed.copy()
     for j in schema.indices_of(ColumnKind.TEXT):
         eligible[:, j] = False
-    is_numeric = np.zeros(n_cols, dtype=bool)
-    is_numeric[list(schema.indices_of(ColumnKind.NUMERIC))] = True
 
     num_targets, cat_targets = _targets(table, observed, schema, stats)
     features = embedder.embed_table(table, mask)
@@ -205,10 +203,15 @@ def train(
         for start in range(0, n_rows, config.batch_size):
             rows = order[start : start + config.batch_size]
             sup = (rng_sup.random((rows.size, n_cols)) < config.mask_rate) & eligible[rows]
-            batch = _assemble_batch(
-                rows, sup, observed, features, num_targets, cat_targets, is_numeric, config
+            batch = Batch(
+                token_masked=~observed[rows] | sup,
+                features=features[rows],
+                supervised=sup,
+                numeric_targets=num_targets[rows],
+                categorical_targets=cat_targets[rows],
+                loss_weights=(config.numeric_loss_weight, config.categorical_loss_weight),
             )
-            if batch.numeric_pos.shape[0] == 0 and batch.categorical_pos.shape[0] == 0:
+            if not sup.any():
                 empty_batches += 1
                 if empty_batches == 1:
                     logger.warning("batch with no supervision targets; loss defined as 0")
@@ -223,25 +226,6 @@ def train(
             batch_losses.append(breakdown.total)
         loss_history.append(float(np.mean(batch_losses)))
     return TrainResult(params=params, loss_history=loss_history, empty_batches=empty_batches)
-
-
-def _assemble_batch(
-    rows, sup, observed, features, num_targets, cat_targets, is_numeric, config
-) -> Batch:
-    sup_r, sup_c = np.nonzero(sup)
-    numeric_sel = is_numeric[sup_c]
-    numeric_pos = np.stack([sup_r[numeric_sel], sup_c[numeric_sel]], axis=1)
-    cat_pos = np.stack([sup_r[~numeric_sel], sup_c[~numeric_sel]], axis=1)
-    # targets are looked up by global row id: rows[batch row]
-    return Batch(
-        token_masked=~observed[rows] | sup,
-        features=features[rows],
-        numeric_pos=numeric_pos,
-        numeric_targets=num_targets[rows[numeric_pos[:, 0]], numeric_pos[:, 1]],
-        categorical_pos=cat_pos,
-        categorical_targets=cat_targets[rows[cat_pos[:, 0]], cat_pos[:, 1]],
-        loss_weights=(config.numeric_loss_weight, config.categorical_loss_weight),
-    )
 
 
 def impute_table(

@@ -136,13 +136,18 @@ def test_criterion_04_gradients_match_finite_differences():
     token_masked[0, 0] = token_masked[1, 2] = token_masked[2, 3] = True
     xc = rng.normal(size=(3, 4, 6))
     xc[token_masked] = 0.0
+    supervised = np.zeros((3, 4), dtype=bool)
+    supervised[0, 0] = supervised[1, 2] = True
+    numeric_targets = np.zeros((3, 4))
+    numeric_targets[0, 0] = 0.6
+    categorical_targets = np.zeros((3, 4), dtype=int)
+    categorical_targets[1, 2] = 1
     batch = Batch(
         token_masked=token_masked,
         features=xc,
-        numeric_pos=np.array([[0, 0]]),
-        numeric_targets=np.array([0.6]),
-        categorical_pos=np.array([[1, 2]]),
-        categorical_targets=np.array([1]),
+        supervised=supervised,
+        numeric_targets=numeric_targets,
+        categorical_targets=categorical_targets,
     )
     _, grads = loss_and_gradients(params, batch)
 

@@ -449,6 +449,17 @@ def test_runtime_error_single_line(tmp_path, capsys):
     assert len(err.strip().split("\n")) == 1
 
 
+def test_schema_that_repeats_a_column_single_line_error(tmp_path, capsys):
+    schema = tmp_path / "s.txt"
+    schema.write_text("# two columns of one name\na:numeric\na:categorical\n")
+    data = tmp_path / "d.csv"
+    data.write_text("a,a\n1.0,x\n")
+    code = main(["mask", "--data", str(data), "--schema", str(schema), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"qimpute: error: {schema}: line 3: column 'a' repeats line 2\n"
+
+
 def test_bad_config_key_reports_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery.key = 5\n")

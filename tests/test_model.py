@@ -59,6 +59,22 @@ def tiny_params(seed=0, mlp_d_in=0, config=TINY):
     return init_params(SCHEMA, tiny_stats(), config, seed=seed, mlp_d_in=mlp_d_in)
 
 
+def cells(shape, *positions):
+    """A (B, C) bool mask flagging the given (row, column) cells."""
+    mask = np.zeros(shape, dtype=bool)
+    for row, col in positions:
+        mask[row, col] = True
+    return mask
+
+
+def targets(shape, values, dtype=float):
+    """(B, C) targets holding ``values`` ({(row, column): value}) and 0 elsewhere."""
+    out = np.zeros(shape, dtype=dtype)
+    for (row, col), value in values.items():
+        out[row, col] = value
+    return out
+
+
 def tiny_batch(rng, with_mlp=False, mlp_d_in=6):
     b, c = 3, 4
     token_masked = np.zeros((b, c), dtype=bool)
@@ -72,10 +88,9 @@ def tiny_batch(rng, with_mlp=False, mlp_d_in=6):
     return Batch(
         token_masked=token_masked,
         features=features,
-        numeric_pos=np.array([[0, 0]]),
-        numeric_targets=np.array([0.6]),
-        categorical_pos=np.array([[1, 2]]),
-        categorical_targets=np.array([1]),
+        supervised=cells((b, c), (0, 0), (1, 2)),
+        numeric_targets=targets((b, c), {(0, 0): 0.6}),
+        categorical_targets=targets((b, c), {(1, 2): 1}, dtype=int),
     )
 
 
@@ -138,7 +153,7 @@ def test_hand_forward_with_zeroed_blocks():
     emb[0, 0] = [0.5, 1.5]
     batch = Batch(token_masked=np.zeros((1, 4), dtype=bool), features=emb)
     hidden, _ = forward(params, batch)
-    preds = head_outputs(params, hidden, np.array([[0, 0]]))
+    preds = head_outputs(params, hidden, cells((1, 4), (0, 0)))
     token = np.array([0.5 + 0.25, 1.5 - 0.5])
     expected = 2.0 * token[0] + 3.0 * token[1] + 0.125
     assert preds[0][1][0] == pytest.approx(expected, abs=1e-12)
@@ -149,7 +164,7 @@ def test_categorical_softmax_normalizes():
     params = tiny_params()
     batch = tiny_batch(rng)
     hidden, _ = forward(params, batch)
-    preds = head_outputs(params, hidden, np.array([[0, 3], [1, 3]]))
+    preds = head_outputs(params, hidden, cells((3, 4), (0, 3), (1, 3)))
     logits = preds[3][1]
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -179,7 +194,7 @@ def test_column_embedding_symmetry():
         features=np.zeros((1, 4, 4)),
     )
     hidden, _ = forward(params, batch)
-    preds = head_outputs(params, hidden, np.array([[0, 0], [0, 1]]))
+    preds = head_outputs(params, hidden, cells((1, 4), (0, 0), (0, 1)))
     distinct = preds[0][1][0] - preds[1][1][0]
     assert abs(distinct) > 1e-9  # distinct column embeddings separate them
 
@@ -187,7 +202,7 @@ def test_column_embedding_symmetry():
     params.tensors["head.num.n2.w"] = params.tensors["head.num.n1.w"].copy()
     params.tensors["head.num.n2.b"] = params.tensors["head.num.n1.b"].copy()
     hidden, _ = forward(params, batch)
-    preds = head_outputs(params, hidden, np.array([[0, 0], [0, 1]]))
+    preds = head_outputs(params, hidden, cells((1, 4), (0, 0), (0, 1)))
     assert preds[0][1][0] == pytest.approx(preds[1][1][0], abs=1e-12)
 
 
@@ -205,8 +220,8 @@ def test_loss_numeric_squared_error():
     batch = Batch(
         token_masked=np.array([[True, False, False, False]]),
         features=np.zeros((1, 4, TINY.embed_dim)),
-        numeric_pos=np.array([[0, 0]]),
-        numeric_targets=np.array([0.7]),
+        supervised=cells((1, 4), (0, 0)),
+        numeric_targets=targets((1, 4), {(0, 0): 0.7}),
     )
     breakdown = loss_value(params, batch)
     assert breakdown.numeric_mse == pytest.approx(0.04, abs=1e-12)
@@ -220,8 +235,8 @@ def test_loss_uniform_binary_logits_is_ln2():
     batch = Batch(
         token_masked=np.array([[False, False, True, False]]),
         features=np.zeros((1, 4, TINY.embed_dim)),
-        categorical_pos=np.array([[0, 2]]),
-        categorical_targets=np.array([0]),
+        supervised=cells((1, 4), (0, 2)),
+        categorical_targets=targets((1, 4), {(0, 2): 0}, dtype=int),
     )
     breakdown = loss_value(params, batch)
     assert breakdown.categorical_ce == pytest.approx(np.log(2.0), abs=1e-12)
@@ -235,8 +250,8 @@ def test_exact_fit_mse_zero_and_gradients_zero():
     batch = Batch(
         token_masked=np.array([[True, False, False, False]]),
         features=np.zeros((1, 4, TINY.embed_dim)),
-        numeric_pos=np.array([[0, 0]]),
-        numeric_targets=np.array([0.6]),
+        supervised=cells((1, 4), (0, 0)),
+        numeric_targets=targets((1, 4), {(0, 0): 0.6}),
     )
     breakdown, grads = loss_and_gradients(params, batch)
     assert breakdown.total == 0.0
@@ -321,7 +336,7 @@ def test_gradients_match_finite_differences_two_blocks(mlp_d_in):
     rng = np.random.default_rng(16)
     params = tiny_params(seed=16, mlp_d_in=mlp_d_in, config=TINY2)
     batch = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
-    assert 2 not in np.concatenate((batch.numeric_pos, batch.categorical_pos))[:, 0]
+    assert not batch.supervised[2].any()
     assert finite_difference_check(params, batch) < 1e-4
 
 
@@ -458,8 +473,7 @@ def test_predict_masked_equals_heads_on_caching_forward():
         batch = tiny_batch(rng, with_mlp=mlp_d_in > 0, mlp_d_in=6)
         hidden, cache = forward(params, batch)
         assert len(cache.blocks) == TINY.n_blocks
-        rows, cols = np.nonzero(batch.token_masked)
-        expected = head_outputs(params, hidden, np.stack([rows, cols], axis=1))
+        expected = head_outputs(params, hidden, batch.token_masked)
         got = predict_masked(params, batch)
         assert got.keys() == expected.keys()
         for col in expected:
@@ -481,15 +495,17 @@ def reference_loss(params, batch):
     hidden, _ = forward(params, batch)
     w_numeric, w_categorical = batch.loss_weights
     mse = ce = 0.0
-    for col, (_, preds) in head_outputs(params, hidden, batch.numeric_pos).items():
-        targets = batch.numeric_targets[batch.numeric_pos[:, 1] == col]
-        mse += float(((preds - targets) ** 2).sum())
-    for col, (_, logits) in head_outputs(params, hidden, batch.categorical_pos).items():
-        targets = batch.categorical_targets[batch.categorical_pos[:, 1] == col]
-        top = logits.max(axis=1)
-        log_z = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
-        ce += float((log_z - logits[np.arange(len(targets)), targets]).sum())
-    kn, kc = len(batch.numeric_targets), len(batch.categorical_targets)
+    kn = kc = 0
+    for col, (rows, preds) in head_outputs(params, hidden, batch.supervised).items():
+        if params.columns[col].kind == ColumnKind.NUMERIC:
+            mse += float(((preds - batch.numeric_targets[rows, col]) ** 2).sum())
+            kn += len(rows)
+        else:
+            logits, labels = preds, batch.categorical_targets[rows, col]
+            top = logits.max(axis=1)
+            log_z = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+            ce += float((log_z - logits[np.arange(len(labels)), labels]).sum())
+            kc += len(rows)
     return w_numeric * (mse / kn if kn else 0.0) + w_categorical * (ce / kc if kc else 0.0)
 
 
@@ -523,13 +539,16 @@ def test_loss_value_matches_all_token_forward(n_blocks, n_rows, supervision, wit
     rows, cols = np.nonzero(sup)
     numeric = cols < 2
     cat_cols = cols[~numeric]
+    numeric_targets = np.zeros((n_rows, 5))
+    numeric_targets[rows[numeric], cols[numeric]] = rng.random(int(numeric.sum()))
+    categorical_targets = np.zeros((n_rows, 5), dtype=int)
+    categorical_targets[rows[~numeric], cat_cols] = rng.integers(0, np.where(cat_cols == 2, 2, 3))
     batch = Batch(
         token_masked=token_masked,
         features=features,
-        numeric_pos=np.stack([rows[numeric], cols[numeric]], axis=1),
-        numeric_targets=rng.random(int(numeric.sum())),
-        categorical_pos=np.stack([rows[~numeric], cat_cols], axis=1),
-        categorical_targets=rng.integers(0, np.where(cat_cols == 2, 2, 3)),
+        supervised=sup,
+        numeric_targets=numeric_targets,
+        categorical_targets=categorical_targets,
         loss_weights=(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))),
     )
     got = loss_value(params, batch)
@@ -573,7 +592,7 @@ def block_calls(monkeypatch):
 
 def with_padding_rows(batch, rng, where):
     """``batch`` with rows holding no supervised cell inserted before the
-    row indices ``where``; the supervision positions are renumbered."""
+    row indices ``where``; the supervision mask and targets get them too."""
     b, c = batch.token_masked.shape
     original = np.insert(np.ones(b, dtype=bool), where, False)
     token_masked = rng.random((original.size, c)) < 0.3
@@ -585,18 +604,17 @@ def with_padding_rows(batch, rng, where):
         out[original] = features
         return out
 
-    renumber = np.flatnonzero(original)
-
-    def moved(pos):
-        return np.stack([renumber[pos[:, 0]], pos[:, 1]], axis=1)
+    def unsupervised(array):
+        out = np.zeros((original.size, c), dtype=array.dtype)
+        out[original] = array
+        return out
 
     return Batch(
         token_masked=token_masked,
         features=pad(batch.features),
-        numeric_pos=moved(batch.numeric_pos),
-        numeric_targets=batch.numeric_targets,
-        categorical_pos=moved(batch.categorical_pos),
-        categorical_targets=batch.categorical_targets,
+        supervised=unsupervised(batch.supervised),
+        numeric_targets=unsupervised(batch.numeric_targets),
+        categorical_targets=unsupervised(batch.categorical_targets),
         loss_weights=batch.loss_weights,
     )
 
@@ -655,8 +673,7 @@ def test_predict_masked_skips_rows_without_a_masked_scored_cell(monkeypatch, mlp
     got = predict_masked(params, batch)
     assert seen == [((3, 5), 15)] * 2  # rows 2, 3 and 5
     hidden, _ = forward(params, batch)
-    rows, cols = np.nonzero(token_masked[:, :4])
-    expected = head_outputs(params, hidden, np.stack([rows, cols], axis=1))
+    expected = head_outputs(params, hidden, token_masked & (np.arange(5) < 4))
     assert got.keys() == expected.keys()
     for col in expected:
         assert np.array_equal(got[col][0], expected[col][0])

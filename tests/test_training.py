@@ -235,9 +235,24 @@ def test_masking_hygiene_missing_cells_never_supervised(monkeypatch):
             rows = orders[epoch][start : start + 16]
             batch = captured[i]
             i += 1
-            for br, col in np.vstack([batch.numeric_pos, batch.categorical_pos]):
+            for br, col in zip(*np.nonzero(batch.supervised)):
                 assert not full_missing[rows[br], col]
     assert i == len(captured)
+
+    # The toy table has no text column; the synthetic one has two.
+    data = synth_healthcare_generate(40, seed=3)
+    stats = fit_preprocessor(data.table, data.schema)
+    embedder = CellEmbedder(data.schema, stats, EmbedderVariant.QUANTUM_IQP, seed=3, n_qubits=4)
+    n_toy = len(captured)
+    config = TrainConfig(epochs=1, batch_size=16, seed=3, learning_rate=1e-3, mask_rate=0.5)
+    train(data.table, inject_mcar(data.table, 0.2, seed=3), data.schema, stats, embedder,
+          SMALL_MODEL, config)
+    text = list(data.schema.indices_of(ColumnKind.TEXT))
+    assert len(captured) > n_toy and text
+    for batch in captured:
+        assert not (batch.supervised & ~batch.token_masked).any()  # no target is visible
+    for batch in captured[n_toy:]:
+        assert not batch.supervised[:, text].any()
 
 
 def test_blocks_see_only_rows_with_a_query(monkeypatch):
@@ -262,7 +277,7 @@ def test_blocks_see_only_rows_with_a_query(monkeypatch):
         return original_block(t, p, x_in, shape, cfg, store, keep)
 
     def supervised_rows(batch):
-        return np.unique(np.concatenate((batch.numeric_pos, batch.categorical_pos))[:, 0]).size
+        return int(batch.supervised.any(axis=1).sum())
 
     def rows_with_masked_scored_cell(batch):
         return int((batch.token_masked & scored).any(axis=1).sum())
