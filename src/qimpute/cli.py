@@ -62,8 +62,7 @@ _OPTIONAL_FLAGS = {
     "--threads": dict(
         type=int,
         help="parallel (method, seed) workers; overrides the config file (default 1); "
-        "reruns at one value are byte-identical, transformer scores may differ in the "
-        "last digits between 1 and >1",
+        "the report is byte-identical at every value",
     ),
 }
 

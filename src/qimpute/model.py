@@ -14,6 +14,14 @@ the rows that hold such a query token, and the last block's tail after
 attention runs at the query tokens alone, forward and backward; a skipped
 row's contribution to the loss and to every gradient is exactly zero.
 
+A row's result does not depend on the other rows of its batch: the
+forward pass sums each row on its own (einsum) and runs its products
+through ``_matmul``, which keeps BLAS on kernel paths whose rows do not
+depend on each other. Nothing depends on the BLAS thread count: the
+backward pass sums rows with einsum too, since a threaded gemv splits
+them, and ``_matmul`` sums long reductions, such as a weight gradient over
+a batch's tokens, in fixed slices.
+
 Everything is plain numpy in float64. ``loss_and_gradients`` returns exact
 analytic gradients for every tensor (including the optional trainable MLP
 embedder), which the test suite checks against central finite differences.
@@ -183,9 +191,34 @@ class _Cache:
         self.blocks = []
 
 
+# Rows of a reduction that one gemm sums; longer ones are split (``_matmul``).
+_K_BLOCK = 128
+
+
+def _matmul(a, b):
+    """``a @ b`` for 2-D operands; a row of the product depends on that row of ``a`` alone.
+
+    It gets the same bits at any position, any row count and any BLAS
+    thread count. OpenBLAS gemm gives that (measured) when ``a`` has at
+    least two rows, ``b`` is C-ordered with at least four columns and the
+    reduction has at most ``_K_BLOCK`` terms. So a longer reduction is
+    summed in ``_K_BLOCK`` slices, in order; one row is padded to two,
+    since numpy would send it to gemv; and a narrower ``b`` goes through
+    einsum, which adds each element in one fixed order.
+    """
+    if b.shape[1] < 4:
+        return np.einsum("ij,jk->ik", a, b)
+    if a.shape[0] == 1:
+        return _matmul(np.concatenate((a, a)), b)[:1]
+    out = a[:, :_K_BLOCK] @ b[:_K_BLOCK]
+    for start in range(_K_BLOCK, b.shape[0], _K_BLOCK):
+        out += a[:, start : start + _K_BLOCK] @ b[start : start + _K_BLOCK]
+    return out
+
+
 def _weight_grad(a, b):
-    """Sum over all leading axes of outer(a, b): (..., d), (..., e) -> (d, e) as one gemm."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    """Sum over all leading axes of outer(a, b): (..., d), (..., e) -> (d, e)."""
+    return _matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]))
 
 
 def _column_sums(a):
@@ -195,19 +228,20 @@ def _column_sums(a):
 
 
 def _row_sums(a):
-    """Sum over the last axis: (..., k) -> (...) as one gemv.
+    """Sum over the last axis: (..., k) -> (...), each row in one fixed order.
 
-    numpy reduces a short last axis row by row; BLAS does it in one call.
+    einsum gives a row the same bits at any position, any row count and any
+    BLAS thread count. A BLAS gemv does not: its kernels take the rows in
+    groups, and its threads split them.
     """
-    flat = a.reshape(-1, a.shape[-1])
-    return (flat @ np.ones(flat.shape[1])).reshape(a.shape[:-1])
+    return np.einsum("...k->...", a)
 
 
 def _layer_norm_forward(x, scale, offset):
-    """Layer norm over the rows of an (N, d) matrix; row moments are gemvs."""
+    """Layer norm over the rows of an (N, d) matrix; each row on its own."""
     d = x.shape[1]
     xhat = x - (_row_sums(x) / d)[:, None]
-    inv_std = (1.0 / np.sqrt(_row_sums(xhat * xhat) / d + LN_EPS))[:, None]
+    inv_std = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + LN_EPS))[:, None]
     xhat *= inv_std
     y = xhat * scale
     y += offset
@@ -225,8 +259,8 @@ def _layer_norm_backward(dy, scale, cache):
     d = dy.shape[1]
     prod = dy * xhat
     d_scale = _column_sums(prod)
-    mean_dxhat = (dy @ scale) / d
-    mean_dxhat_xhat = (prod @ scale) / d
+    mean_dxhat = np.einsum("ij,j->i", dy, scale) / d
+    mean_dxhat_xhat = np.einsum("ij,j->i", prod, scale) / d
     dx = dy * scale
     dx -= mean_dxhat[:, None]
     dx -= np.multiply(xhat, mean_dxhat_xhat[:, None], out=prod)
@@ -313,7 +347,7 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
     # every projection is one gemm; attention reshapes to head-major views.
     # This is the one place that masks tokens: a token-masked cell's input
     # is never read, the mask vector replaces its projection.
-    projected = emb.reshape(n_live * c, emb.shape[2]) @ t["in_proj.w"]
+    projected = _matmul(emb.reshape(n_live * c, emb.shape[2]), t["in_proj.w"])
     x = np.where(masked.reshape(n_live * c, 1), t["mask_emb"], projected)
     tokens = x.reshape(n_live, c, cfg.d_model)
     tokens += t["col_emb"]
@@ -338,7 +372,7 @@ def _block_forward(t, p, x_in, shape, cfg, store, keep):
     y1, ln1_cache = _layer_norm_forward(x_in, t[p + "ln1.scale"], t[p + "ln1.offset"])
     # Q, K and V side by side: one (d, 3d) product; checkpoints keep wq/wk/wv
     w_qkv = np.concatenate((t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]), axis=1)
-    qkv = y1 @ w_qkv
+    qkv = _matmul(y1, w_qkv)
     qkv += np.concatenate((t[p + "attn.bq"], t[p + "attn.bk"], t[p + "attn.bv"]))
     # (3, B, heads, C, d_head) views of the one product
     qh, kh, vh = qkv.reshape(b, c, 3, n_heads, d_head).transpose(2, 0, 3, 1, 4)
@@ -351,14 +385,14 @@ def _block_forward(t, p, x_in, shape, cfg, store, keep):
     if store is not None:
         store.append(dict(y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh, probs=probs))
     del y1, ln1_cache, qkv, qh, kh, vh, scores, probs  # inference frees them before the tail
-    x_mid = z @ t[p + "attn.wo"]
+    x_mid = _matmul(z, t[p + "attn.wo"])
     x_mid += t[p + "attn.bo"]
     x_mid += x_in[keep]
     y2, ln2_cache = _layer_norm_forward(x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"])
-    f_act = y2 @ t[p + "ffn.w1"]
+    f_act = _matmul(y2, t[p + "ffn.w1"])
     f_act += t[p + "ffn.b1"]
     np.maximum(f_act, 0.0, out=f_act)
-    x = f_act @ t[p + "ffn.w2"]
+    x = _matmul(f_act, t[p + "ffn.w2"])
     x += x_mid
     x += t[p + "ffn.b2"]
     if store is not None:
@@ -380,9 +414,11 @@ def head_outputs(params: ModelParams, hidden: np.ndarray, cells: np.ndarray):
         rows = np.flatnonzero(cells[:, col])
         h = hidden[rows, col]
         if spec.kind == ColumnKind.NUMERIC:
-            preds = h @ t[f"head.num.{spec.name}.w"] + t[f"head.num.{spec.name}.b"]
+            preds = np.einsum("ij,j->i", h, t[f"head.num.{spec.name}.w"])
+            preds += t[f"head.num.{spec.name}.b"]
         elif spec.kind == ColumnKind.CATEGORICAL:
-            preds = h @ t[f"head.cat.{spec.name}.w"].T + t[f"head.cat.{spec.name}.b"]
+            preds = np.einsum("ij,kj->ik", h, t[f"head.cat.{spec.name}.w"])
+            preds += t[f"head.cat.{spec.name}.b"]
         else:
             raise ContractViolation(f"column {spec.name!r} is text and has no head")
         out[int(col)] = (rows, preds)
@@ -405,10 +441,10 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
         w = params.tensors[name + ".w"]
         if numeric[col]:
             err = preds - batch.numeric_targets[rows, col]
-            mse_sum += float(err @ err)
+            mse_sum += float(np.einsum("i,i->", err, err))
             d_pred = (2.0 * w_numeric / kn) * err
             d_hidden[rows, col] += d_pred[:, None] * w[None, :]
-            grads[name + ".w"] = d_pred @ h
+            grads[name + ".w"] = _weight_grad(d_pred[:, None], h)[0]
             grads[name + ".b"] = np.asarray(d_pred.sum())
         else:
             logits = preds
@@ -420,7 +456,7 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
             probs[np.arange(len(rows)), targets] -= 1.0
             d_logits = (w_categorical / kc) * probs
             d_hidden[rows, col] += d_logits @ w
-            grads[name + ".w"] = d_logits.T @ h
+            grads[name + ".w"] = _weight_grad(d_logits, h)
             grads[name + ".b"] = d_logits.sum(axis=0)
 
     mse = mse_sum / kn if kn else 0.0

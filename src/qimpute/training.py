@@ -235,10 +235,12 @@ def impute_table(
     stats: PreprocessStats,
     embedder: CellEmbedder,
     params: ModelParams,
-    batch_rows: int = 256,
+    batch_rows: int = 64,
 ) -> Table:
     """Fill every missing non-text cell with the trained model's prediction.
 
+    The model runs on ``batch_rows`` rows at a time, which bounds memory;
+    a row's prediction depends on neither the block nor its place in it.
     Numeric outputs are mapped back from normalized space to column units
     and clamped to the fitted range widened by 10% on each side;
     categorical outputs are the argmax category. Observed cells are copied
@@ -246,6 +248,8 @@ def impute_table(
     must be the embedder's own.
     """
     schema, stats = _embedders_own(schema, stats, embedder)
+    if batch_rows < 1:
+        raise ConfigError(f"batch_rows must be >= 1, got {batch_rows}")
     observed = ~(missing_mask(table).matrix | mask.matrix)
     features = embedder.embed_table(table, mask)
     cells = []

@@ -5,7 +5,10 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,15 +228,38 @@ def test_threads_parallel_matches_sequential(tmp_path):
 
 
 def test_pooled_transformer_reruns_are_byte_identical(tmp_path):
-    # Transformer scores may differ in the last digits between threads = 1
-    # and threads > 1 (BLAS thread counts differ); reruns at one threads
-    # value may not.
     config = fast_config(methods=("quantum_iqp",), threads=2)
     run_experiment(config, out_dir=tmp_path / "a")
     run_experiment(config, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "report.json").read_bytes() == (
         tmp_path / "b" / "report.json"
     ).read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI = "import sys; from qimpute.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_transformer_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits long reductions across its threads: two BLAS threads
+    # against one, and serial against pooled runs, must give the same bytes.
+    config = tmp_path / "eval.cfg"
+    config.write_text(
+        "dataset.rows = 60\nmethods = quantum_iqp, classical_mlp\nseeds = 0, 1\n"
+        "train.epochs = 1\n"
+    )
+    reports = []
+    for blas, threads in (("2", 1), ("2", 2), ("1", 1)):
+        out = tmp_path / f"blas{blas}-threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": str(SRC)}
+        result = subprocess.run(
+            [sys.executable, "-c", CLI, "eval", "--config", str(config),
+             "--threads", str(threads), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_pool_workers_start_with_one_blas_thread(monkeypatch):

@@ -4,7 +4,12 @@ The gradient oracle is central finite differences of ``loss_value`` with
 h = 1e-5, compared entrywise at relative error 1e-4.
 """
 
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ from qimpute.errors import ConfigError, ContractViolation
 from qimpute.model import (
     Batch,
     ModelConfig,
+    _K_BLOCK,
     _column_sums,
+    _matmul,
     _row_sums,
     _weight_grad,
     forward,
@@ -181,7 +188,7 @@ def test_row_permutation_consistency():
         features=batch.features[perm],
     )
     hidden_p, _ = forward(params, permuted)
-    assert np.allclose(hidden_p, hidden[perm], atol=1e-12)
+    assert hidden_p.tobytes() == hidden[perm].tobytes()
 
 
 def test_column_embedding_symmetry():
@@ -464,6 +471,87 @@ def test_gemv_sums_match_numpy_sums():
     assert np.allclose(_column_sums(a), a.sum(axis=(0, 1)), rtol=0.0, atol=1e-12)
     assert _row_sums(a).shape == (4, 3)
     assert np.allclose(_row_sums(a), a.sum(axis=-1), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("inner", [4, 64, _K_BLOCK + 1, 3 * _K_BLOCK + 5])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 64])
+def test_matmul_rows_do_not_depend_on_the_other_rows(inner, width):
+    rng = np.random.default_rng(inner * 100 + width)
+    a = rng.normal(size=(40, inner))
+    b = rng.normal(size=(inner, width))
+    full = _matmul(a, b)
+    assert np.allclose(full, a @ b, rtol=1e-12, atol=1e-12)
+    for n in (1, 2, 3, 5, 9, 17, 33):
+        assert _matmul(a[:n], b).tobytes() == full[:n].tobytes(), n
+    perm = rng.permutation(40)
+    assert _matmul(a[perm], b).tobytes() == full[perm].tobytes()
+    assert _row_sums(a[:3]).tobytes() == _row_sums(a)[:3].tobytes()
+
+
+GRADIENTS = """
+import pickle, sys
+import numpy as np
+from qimpute.model import loss_and_gradients
+with open(sys.argv[1], "rb") as f:
+    params, batch = pickle.load(f)
+loss, grads = loss_and_gradients(params, batch)
+np.savez(sys.argv[2], loss=loss.total, **grads)
+"""
+
+
+def test_gradients_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A batch large enough that OpenBLAS, at two threads, splits a row-wise
+    # gemv (the layer-norm backward, here at 14,442 tokens) and rounds some
+    # rows differently; every reduction must still sum in one fixed order.
+    config = replace(TINY2, d_model=32, n_blocks=1, d_ff=32)
+    rng = np.random.default_rng(7)
+    supervised = np.ones((3611, 4), dtype=bool)
+    supervised[0, :2] = False
+    batch = Batch(
+        token_masked=supervised,
+        features=rng.normal(size=(3611, 4, config.embed_dim)),
+        supervised=supervised,
+        numeric_targets=rng.random((3611, 4)),
+        categorical_targets=rng.integers(0, 2, (3611, 4)),
+    )
+    inputs = tmp_path / "inputs.pkl"
+    inputs.write_bytes(pickle.dumps((tiny_params(seed=3, config=config), batch)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", GRADIENTS, str(inputs), str(out)], env=env, check=True, timeout=120
+        )
+        with np.load(out) as npz:
+            runs.append({name: npz[name].tobytes() for name in npz.files})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_predict_masked_gives_a_row_the_same_bits_in_any_batch(mlp_d_in):
+    # Layer-norm moments, softmax denominators, head products and one-row
+    # products: none of them may round a row by its batch-mates.
+    rng = np.random.default_rng(34)
+    params = tiny_params(seed=34, mlp_d_in=mlp_d_in, config=TINY2)
+    n = 30
+    token_masked = rng.random((n, 4)) < 0.4
+    features = rng.normal(size=(n, 4, mlp_d_in or TINY2.embed_dim))
+
+    def predictions(rows):
+        out = {}
+        batch = Batch(token_masked=token_masked[rows], features=features[rows])
+        for col, (local, preds) in predict_masked(params, batch).items():
+            for r, p in zip(rows[local], preds):
+                out[int(r), col] = np.asarray(p).tobytes()
+        return out
+
+    everything = predictions(np.arange(n))
+    assert len(everything) == np.count_nonzero(token_masked)
+    for rows in (rng.permutation(n), np.arange(7), np.array([11]), rng.permutation(n)[:13]):
+        got = predictions(rows)
+        assert got == {key: everything[key] for key in got}
 
 
 def test_predict_masked_equals_heads_on_caching_forward():

@@ -1,8 +1,9 @@
 """Property tests: every imputer keeps observed cells and fills masked ones,
 blocked k-NN and iterative ridge match their reference implementations
 bitwise, tables survive a CSV save/load round trip, ``Mask.union``
-keeps its algebra, and cell embeddings and their CSV export follow a
-permutation of the table's rows bitwise.
+keeps its algebra, and cell embeddings, their CSV export and the
+transformer's imputations follow a permutation of the table's rows
+bitwise.
 
 Random small mixed tables (missing cells, degenerate columns, signed
 zeros) with a random held-out mask on top; the draws are derandomized so
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -124,6 +125,31 @@ def test_impute_table_keeps_observed_and_fills_masked(case, variant):
     params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
     out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=3)
     check_imputation(table, mask, before, out)
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 256])
+# No shrinking: every example runs two imputations of up to 40 rows, and
+# shrinking a failure took minutes.
+@settings(PROPERTY_SETTINGS, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    case=masked_tables(max_rows=40),
+    variant=st.sampled_from(list(EmbedderVariant)),
+    data=st.data(),
+)
+def test_impute_table_follows_a_row_permutation_bitwise(batch_rows, case, variant, data):
+    # A row's fills do not depend on its block, its place in the block or
+    # the block's row count.
+    table, mask = case
+    perm = data.draw(st.permutations(range(table.n_rows)))
+    stats = fit_preprocessor(apply_mask(table, mask), SCHEMA, text_dim=4)
+    embedder = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
+    params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
+    out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=batch_rows)
+    permuted = Table(SCHEMA, [list(table.rows[p]) for p in perm])
+    again = impute_table(
+        permuted, Mask(mask.matrix[perm]), SCHEMA, stats, embedder, params, batch_rows=batch_rows
+    )
+    assert again.content_hash() == Table(SCHEMA, [out.rows[p] for p in perm]).content_hash()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ import qimpute.model as model_module
 import qimpute.training as training_module
 from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
-from qimpute.errors import CheckpointError, ContractViolation, FitError, TrainingDiverged
+from qimpute.errors import (
+    CheckpointError,
+    ConfigError,
+    ContractViolation,
+    FitError,
+    TrainingDiverged,
+)
 from qimpute.model import LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -410,6 +417,52 @@ def test_impute_deterministic():
     assert a.content_hash() == b.content_hash()
 
 
+def synthetic_setup(n_rows, seed=3, epochs=1):
+    """A synthetic table with 20% MCAR, its quantum embedder, and a model trained ``epochs``."""
+    data = synth_healthcare_generate(n_rows, seed)
+    table, schema = data.table, data.schema
+    mask = inject_mcar(table, 0.2, seed=seed)
+    stats = fit_preprocessor(table, schema)
+    embedder = CellEmbedder(schema, stats, EmbedderVariant.QUANTUM_IQP, seed=seed, n_qubits=8)
+    if epochs:
+        config = TrainConfig(epochs=epochs, seed=seed, learning_rate=1e-3)
+        params = train(table, mask, schema, stats, embedder, ModelConfig(), config).params
+    else:
+        params = init_params(schema, stats, ModelConfig(), seed=seed)
+    return table, mask, stats, embedder, params
+
+
+def test_impute_block_size_changes_no_output():
+    table, mask, stats, embedder, params = synthetic_setup(300)
+    hashes = {
+        rows: impute_table(
+            table, mask, table.schema, stats, embedder, params, batch_rows=rows
+        ).content_hash()
+        for rows in (1, 7, 64, 256)
+    }
+    assert len(set(hashes.values())) == 1, hashes
+
+
+@pytest.mark.parametrize("batch_rows", [0, -1])
+def test_impute_rejects_a_block_size_below_one(batch_rows):
+    table, mask, stats, embedder, params = trained_toy(epochs=1)
+    with pytest.raises(ConfigError, match="batch_rows"):
+        impute_table(table, mask, table.schema, stats, embedder, params, batch_rows=batch_rows)
+
+
+def test_impute_memory_is_bounded_by_its_row_blocks():
+    # A block's attention arrays set the peak: 256-row blocks reached 28 MB
+    # here, the default 64-row blocks stay near 8 MB.
+    table, mask, stats, embedder, params = synthetic_setup(1000, epochs=0)
+    tracemalloc.start()
+    try:
+        impute_table(table, mask, table.schema, stats, embedder, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"impute_table peaked at {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("what", ["stats", "schema"])
 def test_train_and_impute_reject_a_schema_or_stats_not_the_embedders(what):
     # Stats refit on five other rows would rescale every numeric fill without
@@ -505,12 +558,8 @@ def test_text_overrides_follow_their_text_on_a_row_permuted_table():
     assert embedder.embed_table(permuted, permuted_mask).tobytes() == (
         embedder.embed_table(table, mask)[order].tobytes()
     )
-    # One row per batch: the model's matmuls may round a row's last bits by
-    # its position in a batch, which is not what this test is about.
-    imputed = impute_table(table, mask, table.schema, stats, embedder, params, batch_rows=1)
-    again = impute_table(
-        permuted, permuted_mask, table.schema, stats, embedder, params, batch_rows=1
-    )
+    imputed = impute_table(table, mask, table.schema, stats, embedder, params)
+    again = impute_table(permuted, permuted_mask, table.schema, stats, embedder, params)
     expected = Table(table.schema, [imputed.rows[r] for r in order])
     assert again.content_hash() == expected.content_hash()
 
