@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoding import NumericColumnStats, fit_column
 from .errors import ConfigError
-from .tabular import ColumnKind, Mask, Table, missing_mask
+from .tabular import ColumnKind, Mask, Table, observed_cells
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class _Frame:
     def __init__(self, table: Table, mask: Mask):
         schema = table.schema
         self.table = table
-        self.observed = ~(missing_mask(table).matrix | mask.matrix)
+        self.observed = observed_cells(table, mask)
         self.numeric_cols = list(schema.indices_of(ColumnKind.NUMERIC))
         self.categorical_cols = list(schema.indices_of(ColumnKind.CATEGORICAL))
         n_rows = table.n_rows

@@ -31,7 +31,16 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, FitError, QimputeError
 from .quantum import IqpParams, iqp_expectations
 from .rng import EMBED, PROJECTION, substream
-from .tabular import CellValue, ColumnKind, ColumnSpec, DatasetSchema, Mask, Table, missing_mask
+from .tabular import (
+    CellValue,
+    ColumnKind,
+    ColumnSpec,
+    DatasetSchema,
+    Mask,
+    Table,
+    held_out,
+    missing_mask,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -275,28 +284,35 @@ def fit_column(
 
 
 def encode_column(
-    values: list[CellValue],
+    values: list[CellValue] | np.ndarray,
     kind: ColumnKind,
     stats: ColumnStats,
     column: str = "",
 ) -> np.ndarray:
     """Observed cells of one column -> (len(values), width) features in [0, pi].
 
-    Encoding a missing value is a contract violation, not a silent zero.
-    Each unknown category encoded logs one warning and maps to the
-    all-zeros vector.
+    Numeric values may come as a list or a float array. Encoding a missing
+    value (``None``, or nan in a numeric column) is a contract violation,
+    not a silent zero. Each unknown category encoded logs one warning and
+    maps to the all-zeros vector.
     """
-    if any(v is None for v in values):
+    if kind == ColumnKind.NUMERIC:
+        x = np.asarray(values, dtype=np.float64)  # a None reads as nan
+        has_missing = np.isnan(x).any()
+    else:
+        has_missing = any(v is None for v in values)
+    if has_missing:
         raise ContractViolation(f"attempted to encode a missing cell in column {column!r}")
     if kind == ColumnKind.NUMERIC:
         assert isinstance(stats, NumericColumnStats)
         if stats.degenerate:
-            return np.zeros((len(values), 1))
+            return np.zeros((x.size, 1))
         # Scaled before dividing, unlike pi * stats.normalize(x), which
         # rounds differently and would move every embedding's last bits.
-        x = np.array([float(v) for v in values], dtype=np.float64)
         angles = np.pi * (x - stats.vmin) / stats.span
-        return np.clip(angles, 0.0, np.pi)[:, None]
+        # + 0.0 turns the -0.0 angle of x = -0.0 over vmin = 0.0 into 0.0:
+        # 0.0 and -0.0 are one distinct value, so they must encode alike.
+        return (np.clip(angles, 0.0, np.pi) + 0.0)[:, None]
     if kind == ColumnKind.CATEGORICAL:
         assert isinstance(stats, CategoricalColumnStats)
         codes = stats.codes(values)
@@ -422,7 +438,7 @@ class CellEmbedder:
         """
         return self._encode(col, [value])[0]
 
-    def _encode(self, col: int, values: list[CellValue]) -> np.ndarray:
+    def _encode(self, col: int, values: list[CellValue] | np.ndarray) -> np.ndarray:
         """(len(values), width) classical features of observed cells of one column."""
         spec = self.schema.columns[col]
         return encode_column(values, spec.kind, self.stats.for_column(spec.name), spec.name)
@@ -436,36 +452,53 @@ class CellEmbedder:
 
         The width is ``n_qubits`` for the fixed variants, whose cells are
         embedded here. The MLP variant's input is each cell's classical
-        vector zero-padded to ``mlp_d_in``; the model embeds it.
+        vector zero-padded to ``mlp_d_in``; the model embeds it. A mask of
+        another shape than the table's is a :class:`ContractViolation`.
         """
-        observed = ~missing_mask(table).matrix
-        if mask is not None:
-            observed &= ~mask.matrix
-        out = np.zeros((table.n_rows, self.schema.n_columns, self.mlp_d_in or self.n_qubits))
-        for c in range(self.schema.n_columns):
-            rows = np.flatnonzero(observed[:, c]).tolist()
-            if not rows:
+        shape = (table.n_rows, self.schema.n_columns)
+        held = np.zeros(shape, dtype=bool) if mask is None else held_out(table, mask)
+        out = np.zeros(shape + (self.mlp_d_in or self.n_qubits,))
+        every_row = np.arange(table.n_rows)
+        for c, spec in enumerate(self.schema.columns):
+            values = table.column(c, every_row)
+            if spec.kind == ColumnKind.NUMERIC:
+                values = np.array(values, dtype=np.float64)  # a None reads as nan
+                rows = np.flatnonzero(~np.isnan(values) & ~held[:, c])
+                values = values[rows]
+            else:
+                present = np.array([v is not None for v in values], dtype=bool)
+                rows = np.flatnonzero(present & ~held[:, c])
+                values = [values[r] for r in rows.tolist()]
+            if not rows.size:
                 continue
-            values = table.column(c, rows)
             if self.mlp_d_in:
                 out[rows, c, : self._widths[c]] = self._encode(c, values)
             else:
                 out[rows, c] = self._embed_column(c, values)
         return out
 
-    def _embed_column(self, col: int, values: list[CellValue]) -> np.ndarray:
+    def _embed_column(self, col: int, values: list[CellValue] | np.ndarray) -> np.ndarray:
         """(len(values), n_qubits) embeddings of observed cells of one column.
 
-        Each distinct value is encoded and embedded once, as one batch.
+        Each distinct value is encoded and embedded once, as one batch: a
+        numeric float array's values from one ``np.unique``, a list's in
+        order of first appearance. A cell's embedding does not depend on its
+        batch, so either order gives the same bits. Categorical and text
+        values stay a list: they hold few distinct values, and a numpy
+        string array would drop trailing NULs.
         """
         if self.variant == EmbedderVariant.CLASSICAL_MLP:
             raise ContractViolation(
                 "the classical-MLP variant has no fixed embedding; its weights "
                 "live in the model and are applied during the forward pass"
             )
-        slots: dict = {}
-        index = np.array([slots.setdefault(v, len(slots)) for v in values], dtype=np.intp)
-        x = self._encode(col, list(slots))
+        if isinstance(values, np.ndarray):
+            distinct, index = np.unique(values, return_inverse=True)
+        else:
+            slots: dict = {}
+            index = np.array([slots.setdefault(v, len(slots)) for v in values], dtype=np.intp)
+            distinct = list(slots)
+        x = self._encode(col, distinct)
         vectors = _project(x, self._proj[col])
         if self.variant == EmbedderVariant.QUANTUM_IQP:
             # The projection gives circuit angles. project_to_angles

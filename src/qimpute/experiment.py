@@ -17,6 +17,7 @@ excluded from the determinism guarantee).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -416,24 +417,40 @@ def export_embeddings(
         emb, _ = mlp_embed(params.tensors, emb)
     observed = ~missing_mask(table).matrix
     labels = ["" if v is None else v for v in table.column(label_idx, range(table.n_rows))]
+    escaped = _csv_fields(dict.fromkeys(labels))
+    labels = [escaped[label] for label in labels]
     dim = emb.shape[2]  # the MLP's output width is the model's, not n_qubits
-    values = ",".join(["%.17g"] * dim)  # one call, each value as format(v, ".17g")
-    header = ["row_id", "label"] if mode == "row_mean" else ["row_id", "column_name", "label"]
+    head = ("row_id", "label") if mode == "row_mean" else ("row_id", "column_name", "label")
+    # one line per call, each value as format(v, ".17g")
+    line = ",".join(("%d",) + ("%s",) * (len(head) - 1) + ("%.17g",) * dim) + "\n"
+    names = list(_csv_fields(schema.names).values())  # the schema's names are distinct
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header + [f"e_{i}" for i in range(dim)])
+        fh.write(",".join(head + tuple(f"e_{i}" for i in range(dim))) + "\n")
         for start in range(0, table.n_rows, _EXPORT_BLOCK_ROWS):
             seen, block = (a[start : start + _EXPORT_BLOCK_ROWS] for a in (observed, emb))
             if mode == "row_mean":
-                keys = [[start + r, labels[start + r]] for r in range(len(seen))]
+                keys = zip(range(start, start + len(seen)), labels[start : start + len(seen)])
                 vectors = _row_means(block, seen)
             else:
                 rows, cols = np.nonzero(seen)
-                names = [schema.columns[c].name for c in cols.tolist()]
-                keys = [[start + r, n, labels[start + r]] for r, n in zip(rows.tolist(), names)]
+                keys = ((start + r, names[c], labels[start + r])
+                        for r, c in zip(rows.tolist(), cols.tolist()))
                 vectors = block[rows, cols]
-            for key, v in zip(keys, vectors.tolist()):
-                writer.writerow(key + (values % tuple(v)).split(","))
+            fh.write("".join([line % (*k, *v) for k, v in zip(keys, vectors.tolist())]))
+
+
+def _csv_fields(texts) -> dict[str, str]:
+    """Each text as ``csv.writer`` writes it, quoted or not, as one field of a
+    record of several (alone, an empty field would be written ``""``)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = {}
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text, ""])
+        fields[text] = buffer.getvalue()[: -len(",\n")]
+    return fields
 
 
 def _row_means(emb: np.ndarray, observed: np.ndarray) -> np.ndarray:

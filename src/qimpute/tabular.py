@@ -186,6 +186,27 @@ def missing_mask(table: Table) -> Mask:
     return Mask(matrix)
 
 
+def held_out(table: Table, mask: Mask) -> np.ndarray:
+    """The matrix of ``mask``, checked to have the table's shape.
+
+    Combining a mask of another shape with the table's cells would
+    broadcast it, holding out whole rows or columns, so it raises
+    :class:`ContractViolation` naming both shapes.
+    """
+    shape = (table.n_rows, table.schema.n_columns)
+    if mask.matrix.shape != shape:
+        raise ContractViolation(
+            f"mask has shape {mask.matrix.shape}, the table has shape {shape}"
+        )
+    return mask.matrix
+
+
+def observed_cells(table: Table, mask: Mask) -> np.ndarray:
+    """(rows, columns) bool: True where the table holds a value and ``mask`` does
+    not hold it out; a mask of another shape raises, see :func:`held_out`."""
+    return ~(missing_mask(table).matrix | held_out(table, mask))
+
+
 def empty_mask(table: Table) -> Mask:
     """A mask of the table's shape that holds out no cell."""
     return Mask(np.zeros((table.n_rows, table.schema.n_columns), dtype=bool))

@@ -44,7 +44,7 @@ from .tabular import (
     DatasetSchema,
     Mask,
     Table,
-    missing_mask,
+    observed_cells,
 )
 
 logger = logging.getLogger(__name__)
@@ -174,12 +174,13 @@ def train(
     """Train a fresh model on the working table's observed cells.
 
     ``mask`` marks held-out cells on top of the table's own missing cells;
-    both are treated as genuinely missing (mask tokens, never targets).
+    both are treated as genuinely missing (mask tokens, never targets). A
+    mask of another shape than the table's is a :class:`ContractViolation`.
     Returns the trained parameters and the per-epoch mean loss. ``schema``
     and ``stats`` must be the embedder's own.
     """
     schema, stats = _embedders_own(schema, stats, embedder)
-    observed = ~(missing_mask(table).matrix | mask.matrix)
+    observed = observed_cells(table, mask)
     n_rows, n_cols = observed.shape
 
     eligible = observed.copy()
@@ -244,13 +245,14 @@ def impute_table(
     Numeric outputs are mapped back from normalized space to column units
     and clamped to the fitted range widened by 10% on each side;
     categorical outputs are the argmax category. Observed cells are copied
-    unchanged; missing text cells stay missing. ``schema`` and ``stats``
+    unchanged; missing text cells stay missing. A mask of another shape
+    than the table's is a :class:`ContractViolation`. ``schema`` and ``stats``
     must be the embedder's own.
     """
     schema, stats = _embedders_own(schema, stats, embedder)
     if batch_rows < 1:
         raise ConfigError(f"batch_rows must be >= 1, got {batch_rows}")
-    observed = ~(missing_mask(table).matrix | mask.matrix)
+    observed = observed_cells(table, mask)
     features = embedder.embed_table(table, mask)
     cells = []
     for start in range(0, table.n_rows, batch_rows):

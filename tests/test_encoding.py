@@ -131,6 +131,12 @@ def test_encoding_missing_cell_is_contract_violation():
         encode_column([1.0, None], ColumnKind.NUMERIC, stats)
 
 
+def test_encoding_nan_in_a_float_array_is_contract_violation():
+    stats = NumericColumnStats(vmin=0.0, vmax=1.0)
+    with pytest.raises(ContractViolation):
+        encode_column(np.array([0.5, np.nan]), ColumnKind.NUMERIC, stats)
+
+
 def test_text_encoding_in_angle_range():
     stats = fit_preprocessor(make_table(), SCHEMA)
     vec = encode_column(["chest pain"], ColumnKind.TEXT, stats.for_column("note"))[0]
@@ -375,6 +381,37 @@ def test_embed_bitwise_equals_embed_table(variant):
         for c, value in enumerate(row):
             if value is not None:
                 assert np.array_equal(single.embed(r, c, value), out[r, c])
+
+
+def signed_zero_table(first_zero):
+    """A numeric column whose minimum is 0, held as both 0.0 and -0.0, with
+    repeated values and values seen once; ``first_zero`` comes first."""
+    schema = DatasetSchema(
+        (ColumnSpec("x", ColumnKind.NUMERIC), ColumnSpec("g", ColumnKind.CATEGORICAL))
+    )
+    x = [3.0, first_zero, -first_zero, 3.0, 1.5, first_zero, 7.25, None, 3.0, -first_zero]
+    return Table(schema, [[v, "ab"[r % 2]] for r, v in enumerate(x)])
+
+
+@pytest.mark.parametrize("first_zero", [0.0, -0.0], ids=["0.0 first", "-0.0 first"])
+@pytest.mark.parametrize("variant", list(EmbedderVariant), ids=lambda v: v.value)
+def test_numeric_array_path_equals_the_per_cell_path_bitwise(variant, first_zero):
+    # The fitted minimum is whichever zero comes first; 0.0 and -0.0 are one
+    # distinct value, so both must get the bits a per-cell call gives either.
+    table = signed_zero_table(first_zero)
+    stats = fit_preprocessor(table, table.schema)
+    emb = CellEmbedder(table.schema, stats, variant, seed=4, n_qubits=4)
+    out = emb.embed_table(table)
+    for r, row in enumerate(table.rows):
+        for c, value in enumerate(row):
+            if value is None:
+                assert not out[r, c].any()
+            elif emb.mlp_d_in:
+                vec = emb.classical_vector(r, c, value)
+                assert out[r, c, : vec.size].tobytes() == vec.tobytes()
+                assert not out[r, c, vec.size :].any()
+            else:
+                assert out[r, c].tobytes() == emb.embed(r, c, value).tobytes()
 
 
 @pytest.mark.parametrize("n_qubits,n_layers", [(0, 2), (4, 0)])

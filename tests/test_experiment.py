@@ -516,6 +516,25 @@ def export_reference_table() -> Table:
     return Table(DatasetSchema(EXPORT_COLUMNS, name="export"), rows)
 
 
+def reference_records(table: Table, emb: np.ndarray, mode: str) -> list[list[str]]:
+    """The export's records, built per row: each row's own np.mean (or each
+    cell), every value written with format(v, ".17g"), labels from column 0."""
+    observed = ~missing_mask(table).matrix
+    labels = [row[0] or "" for row in table.rows]
+
+    def text(vector):
+        return [format(v, ".17g") for v in vector]
+
+    if mode == "row_mean":
+        means = [
+            emb[r][observed[r]].mean(axis=0) if observed[r].any() else np.zeros(emb.shape[2])
+            for r in range(table.n_rows)
+        ]
+        return [[str(r), labels[r], *text(m)] for r, m in enumerate(means)]
+    names = table.schema.names
+    return [[str(r), names[c], labels[r], *text(emb[r, c])] for r, c in zip(*np.nonzero(observed))]
+
+
 @pytest.mark.parametrize("block_rows", [2, 256])
 @pytest.mark.parametrize("variant", list(EmbedderVariant), ids=lambda v: v.value)
 def test_export_is_bitwise_the_per_row_reference(tmp_path, monkeypatch, variant, block_rows):
@@ -533,8 +552,6 @@ def test_export_is_bitwise_the_per_row_reference(tmp_path, monkeypatch, variant,
             TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3),
         ).params
         emb = mlp_embed(params.tensors, emb)[0]
-    observed = ~missing_mask(table).matrix
-    labels = [row[0] or "" for row in table.rows]
     lines = {}
     for mode in ("row_mean", "cell"):
         export_embeddings(
@@ -543,18 +560,43 @@ def test_export_is_bitwise_the_per_row_reference(tmp_path, monkeypatch, variant,
         )
         with open(tmp_path / f"{mode}.csv", encoding="utf-8", newline="") as fh:
             lines[mode] = list(csv.reader(fh))[1:]
-
-    def text(vector):
-        return [format(v, ".17g") for v in vector]
-
-    means = [
-        emb[r][observed[r]].mean(axis=0) if observed[r].any() else np.zeros(emb.shape[2])
-        for r in range(table.n_rows)
-    ]
-    assert not means[0].any()
-    assert lines["row_mean"] == [[str(r), labels[r], *text(m)] for r, m in enumerate(means)]
-    assert lines["cell"] == [
-        [str(r), EXPORT_COLUMNS[c].name, labels[r], *text(emb[r, c])]
-        for r, c in zip(*np.nonzero(observed))
-    ]
+    assert lines["row_mean"][0][2:] == ["0"] * emb.shape[2]
+    assert lines["row_mean"] == reference_records(table, emb, "row_mean")
+    assert lines["cell"] == reference_records(table, emb, "cell")
     assert len(lines["cell"]) == sum(len(seen) for seen in EXPORT_OBSERVED)
+
+
+# comma, quote, lone carriage return, newline, leading space, plain
+AWKWARD_LABELS = ("a,b", 'say "hi"', "cr\ronly", "two\nlines", " lead", "plain")
+
+
+@pytest.mark.parametrize("block_rows", [2, 256])
+def test_export_bytes_are_the_csv_writers(tmp_path, monkeypatch, block_rows):
+    # Parsed fields would not show a writer that quotes otherwise: the files
+    # must be the bytes csv.writer writes, for labels that need quoting, one
+    # that looks as if it might (a lone CR, which it leaves bare), a missing
+    # (empty) label and, in cell mode, a column name holding a comma.
+    monkeypatch.setattr(experiment_module, "_EXPORT_BLOCK_ROWS", block_rows)
+    base = export_reference_table()
+    columns = (base.schema.columns[0], ColumnSpec("x,0", ColumnKind.NUMERIC),
+               *base.schema.columns[2:])
+    labelled = iter(AWKWARD_LABELS)
+    rows = [[None if row[0] is None else next(labelled), *row[1:]] for row in base.rows]
+    assert next(labelled, None) is None and any(row[0] is None for row in rows)
+    table = Table(DatasetSchema(columns, name="export"), rows)
+    stats = fit_preprocessor(table, table.schema, text_dim=3)
+    variant = EmbedderVariant.RANDOM_PROJECTION
+    emb = CellEmbedder(table.schema, stats, variant, seed=2, n_qubits=4).embed_table(table)
+    header = {"row_mean": ["row_id", "label"], "cell": ["row_id", "column_name", "label"]}
+    for mode, keys in header.items():
+        export_embeddings(
+            table, table.schema, stats, variant, seed=2, label_column="ward",
+            path=tmp_path / f"{mode}.csv", mode=mode, n_qubits=4,
+        )
+        with open(tmp_path / f"reference-{mode}.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(keys + [f"e_{i}" for i in range(4)])
+            writer.writerows(reference_records(table, emb, mode))
+        assert (tmp_path / f"{mode}.csv").read_bytes() == (
+            tmp_path / f"reference-{mode}.csv"
+        ).read_bytes()

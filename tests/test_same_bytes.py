@@ -49,3 +49,13 @@ def test_an_artifact_written_by_one_tree_only_differs(tmp_path):
     assert same_bytes.compare(tmp_path / "a", tmp_path / "b") == [
         ("extra.csv", False, ["written only with the working tree"])
     ]
+
+
+def test_the_tools_own_inputs_are_not_compared(tmp_path):
+    for side in ("a", "b"):
+        (tmp_path / side / "awkward").mkdir(parents=True)
+    for name in ("eval.cfg", "awkward/data.csv"):
+        (tmp_path / "a" / name).write_text("x\n1\n", encoding="utf-8")
+        (tmp_path / "b" / name).write_text("x\n2\n", encoding="utf-8")
+    assert set(same_bytes.INPUTS) >= {"eval.cfg", "awkward/data.csv"}
+    assert same_bytes.compare(tmp_path / "a", tmp_path / "b") == []

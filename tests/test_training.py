@@ -11,6 +11,12 @@ import pytest
 
 import qimpute.model as model_module
 import qimpute.training as training_module
+from qimpute.baselines import (
+    BaselineConfig,
+    iterative_ridge_impute,
+    knn_impute,
+    mean_mode_impute,
+)
 from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
 from qimpute.errors import (
@@ -478,6 +484,37 @@ def test_train_and_impute_reject_a_schema_or_stats_not_the_embedders(what):
         impute_table(table, mask, schema, stats, embedder, params)
     with pytest.raises(ContractViolation, match="embedder's own"):
         train(table, mask, schema, stats, embedder, SMALL_MODEL, config)
+
+
+@pytest.fixture(scope="module")
+def trained_one_epoch():
+    return trained_toy(epochs=1)
+
+
+@pytest.mark.parametrize("shape", ["(1, C)", "(n, 1)", "(n + 1, C)"])
+@pytest.mark.parametrize(
+    "entry", ["embed_table", "train", "impute_table", "mean_mode", "knn", "iterative_ridge"]
+)
+def test_a_mask_of_another_shape_than_the_table_is_rejected(trained_one_epoch, shape, entry):
+    # Broadcast over the table, a (1, C) mask holding column 0 would hold
+    # out all of column 0, and impute_table would overwrite its observed cells.
+    table, _, stats, embedder, params = trained_one_epoch
+    n, c = table.n_rows, table.schema.n_columns
+    matrix = np.zeros({"(1, C)": (1, c), "(n, 1)": (n, 1), "(n + 1, C)": (n + 1, c)}[shape])
+    matrix[:, 0] = 1
+    mask, schema = Mask(matrix), table.schema
+    config = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=1e-3)
+    calls = {
+        "embed_table": lambda: embedder.embed_table(table, mask),
+        "train": lambda: train(table, mask, schema, stats, embedder, SMALL_MODEL, config),
+        "impute_table": lambda: impute_table(table, mask, schema, stats, embedder, params),
+        "mean_mode": lambda: mean_mode_impute(table, mask),
+        "knn": lambda: knn_impute(table, mask, k=3),
+        "iterative_ridge": lambda: iterative_ridge_impute(table, mask, BaselineConfig()),
+    }
+    message = f"mask has shape {matrix.shape}, the table has shape {(n, c)}"
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,17 @@ tree, and report which artifacts are byte-identical.
   fixed variants;
 - ``eval`` of the three baselines, ``quantum_iqp`` and ``classical_mlp`` at
   ``threads`` 1 and 2;
-- a two-seed ``ablate``.
+- a two-seed ``ablate``;
+- ``export-embeddings`` in both modes for ``quantum_iqp`` of a six-row
+  table the tool writes itself, whose labels hold a comma, a quote and one
+  missing cell and whose numeric column's name holds a comma, so that a
+  change in how the export quotes shows.
 
-Every artifact but ``timings.json`` is compared. One that differs gets its
-drift: the largest absolute and relative difference per ``model.npz``
-tensor, per numeric CSV column and per ``report.json`` number. The exit
-status is 0 when every artifact is identical and 1 otherwise.
+Every artifact but ``timings.json`` and the tool's own inputs is compared.
+One that differs gets its drift: the largest absolute and relative
+difference per ``model.npz`` tensor, per numeric CSV column and per
+``report.json`` number. The exit status is 0 when every artifact is
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +54,17 @@ EVAL_CONFIG = (
     "train.epochs = 2\n"
 )
 ABLATE_CONFIG = f"dataset.rows = {ROWS}\nseeds = 0, 1\ntrain.epochs = 2\n"
+AWKWARD_SCHEMA = "dataset=awkward\nmissing_token=\ndose, mg:numeric\nlabel:categorical\n"
+AWKWARD_CSV = (
+    '"dose, mg",label\n0.5,"a,b"\n1.5,"say ""hi"""\n2.5,\n-1,plain\n3,"a,b"\n0.25,plain\n'
+)
+# written by the tool into each output root, and not compared
+INPUTS = {
+    "eval.cfg": EVAL_CONFIG,
+    "ablate.cfg": ABLATE_CONFIG,
+    "awkward/schema.txt": AWKWARD_SCHEMA,
+    "awkward/data.csv": AWKWARD_CSV,
+}
 CLI = "import sys; from qimpute.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -79,6 +95,11 @@ def chain(out: Path) -> list[list[str]]:
         steps.append(["eval", "--config", str(out / "eval.cfg"), "--threads", str(threads),
                       "--out", str(out / f"eval-threads{threads}")])
     steps.append(["ablate", "--config", str(out / "ablate.cfg"), "--out", str(out / "ablate")])
+    awkward = ["--data", str(out / "awkward" / "data.csv"),
+               "--schema", str(out / "awkward" / "schema.txt")]
+    for mode in EXPORT_MODES:
+        steps.append(["export-embeddings", *awkward, "--variant", "quantum_iqp", "--label-col",
+                      "label", "--mode", mode, "--out", str(out / f"export-awkward-{mode}")])
     return steps
 
 
@@ -91,9 +112,9 @@ def run_chain(tree: Path, out: Path) -> None:
     ).stdout.strip()).resolve()
     if not origin.is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"same_bytes: qimpute was imported from {origin}, not from {tree}")
-    out.mkdir(parents=True)
-    (out / "eval.cfg").write_text(EVAL_CONFIG, encoding="utf-8")
-    (out / "ablate.cfg").write_text(ABLATE_CONFIG, encoding="utf-8")
+    for name, text in INPUTS.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8")
     for args in chain(out):
         result = subprocess.run(
             [sys.executable, "-c", CLI, *args],
@@ -214,7 +235,8 @@ def compare(base: Path, work: Path) -> list[tuple[str, bool, list[str]]]:
     """(artifact, identical, drift lines) for every artifact under either root."""
     names = sorted(
         {p.relative_to(root).as_posix() for root in (base, work) for p in root.rglob("*")
-         if p.is_file() and p.name not in SKIPPED and p.suffix != ".cfg"}
+         if p.is_file() and p.name not in SKIPPED}
+        - set(INPUTS)
     )
     results = []
     for name in names:
