@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import experiment_config_from_mapping, load_kv_config
@@ -235,17 +236,9 @@ def _cmd_impute(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _experiment_config(args)
-    report = run_experiment(config, out_dir=args.out)
-    print(report.human_table())
-    print(f"wrote {args.out / 'report.json'} and timings.json")
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    config = _experiment_config(args)
-    report = ablation_suite(config, out_dir=args.out)
+def _cmd_report(runner, args) -> int:
+    """``eval`` and ``ablate``: run ``runner`` on the config and print its report."""
+    report = runner(_experiment_config(args), out_dir=args.out)
     print(report.human_table())
     print(f"wrote {args.out / 'report.json'} and timings.json")
     return 0
@@ -288,8 +281,8 @@ _COMMANDS = {
     "mask": _cmd_mask,
     "train": _cmd_train,
     "impute": _cmd_impute,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
+    "eval": partial(_cmd_report, run_experiment),
+    "ablate": partial(_cmd_report, ablation_suite),
     "export-embeddings": _cmd_export,
 }
 
@@ -300,10 +293,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return _COMMANDS[args.command](args)
-    except QimputeError as exc:
-        print(f"qimpute: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QimputeError, OSError) as exc:
         print(f"qimpute: error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,8 +38,8 @@ from .tabular import (
     DatasetSchema,
     Mask,
     Table,
-    held_out,
     missing_mask,
+    observed_cells,
 )
 
 logger = logging.getLogger(__name__)
@@ -452,25 +452,19 @@ class CellEmbedder:
 
         The width is ``n_qubits`` for the fixed variants, whose cells are
         embedded here. The MLP variant's input is each cell's classical
-        vector zero-padded to ``mlp_d_in``; the model embeds it. A mask of
-        another shape than the table's is a :class:`ContractViolation`.
+        vector zero-padded to ``mlp_d_in``; the model embeds it. Which cells
+        are observed is ``tabular``'s to say (:func:`observed_cells`), so a
+        mask of another shape than the table's is a :class:`ContractViolation`.
         """
-        shape = (table.n_rows, self.schema.n_columns)
-        held = np.zeros(shape, dtype=bool) if mask is None else held_out(table, mask)
-        out = np.zeros(shape + (self.mlp_d_in or self.n_qubits,))
-        every_row = np.arange(table.n_rows)
+        observed = ~missing_mask(table).matrix if mask is None else observed_cells(table, mask)
+        out = np.zeros(observed.shape + (self.mlp_d_in or self.n_qubits,))
         for c, spec in enumerate(self.schema.columns):
-            values = table.column(c, every_row)
-            if spec.kind == ColumnKind.NUMERIC:
-                values = np.array(values, dtype=np.float64)  # a None reads as nan
-                rows = np.flatnonzero(~np.isnan(values) & ~held[:, c])
-                values = values[rows]
-            else:
-                present = np.array([v is not None for v in values], dtype=bool)
-                rows = np.flatnonzero(present & ~held[:, c])
-                values = [values[r] for r in rows.tolist()]
+            rows = np.flatnonzero(observed[:, c])
             if not rows.size:
                 continue
+            values = table.column(c, rows)
+            if spec.kind == ColumnKind.NUMERIC:
+                values = np.array(values, dtype=np.float64)
             if self.mlp_d_in:
                 out[rows, c, : self._widths[c]] = self._encode(c, values)
             else:

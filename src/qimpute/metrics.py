@@ -16,17 +16,21 @@ from collections import Counter
 import numpy as np
 
 from .encoding import NumericColumnStats, PreprocessStats
-from .tabular import ColumnKind, Mask, Table
+from .tabular import ColumnKind, Mask, Table, held_out
 
 
 def _scored_cells(imputed: Table, truth: Table, mask: Mask, kind: ColumnKind):
     """Per column of ``kind``: (column, imputed values, true values) at the
     masked cells that have a truth value.
 
-    Raises ValueError when the imputation left such a cell missing.
+    A mask of another shape than either table's is a
+    :class:`ContractViolation` (see :func:`held_out`); an imputation that
+    left such a cell missing raises ValueError.
     """
+    held = held_out(imputed, mask)
+    held_out(truth, mask)
     for j in imputed.schema.indices_of(kind):
-        masked = np.flatnonzero(mask.matrix[:, j])
+        masked = np.flatnonzero(held[:, j])
         rows = masked[[t is not None for t in truth.column(j, masked)]]
         preds = imputed.column(j, rows)
         if None in preds:

@@ -179,11 +179,12 @@ class Mask:
 
 
 def missing_mask(table: Table) -> Mask:
-    """Mask of the cells that are natively missing in the table."""
-    matrix = np.array(
-        [[cell is None for cell in row] for row in table.rows], dtype=bool
-    ).reshape(table.n_rows, table.schema.n_columns)
-    return Mask(matrix)
+    """Mask of the cells that are natively missing (``None``) in the table.
+
+    This is the one presence test: every other module reads it.
+    """
+    cells = np.array(table.rows, dtype=object).reshape(table.n_rows, table.schema.n_columns)
+    return Mask(np.equal(cells, None))
 
 
 def held_out(table: Table, mask: Mask) -> np.ndarray:
@@ -213,14 +214,10 @@ def empty_mask(table: Table) -> Mask:
 
 
 def apply_mask(table: Table, mask: Mask) -> Table:
-    """Blank every masked cell, returning a new working table."""
-    if mask.matrix.shape != (table.n_rows, table.schema.n_columns):
-        raise ValueError(
-            f"mask shape {mask.matrix.shape} does not match table "
-            f"({table.n_rows}, {table.schema.n_columns})"
-        )
+    """Blank every masked cell, returning a new working table; a mask of
+    another shape raises, see :func:`held_out`."""
     out = table.copy()
-    for r, c in np.argwhere(mask.matrix).tolist():
+    for r, c in np.argwhere(held_out(table, mask)).tolist():
         out.rows[r][c] = None
     return out
 
@@ -379,7 +376,16 @@ def save_csv(table: Table, path) -> None:
 
 
 def save_mask(mask: Mask, schema: DatasetSchema, path) -> None:
-    """Mask as CSV of 0/1 under the schema's column names."""
+    """Mask as CSV of 0/1 under the schema's column names.
+
+    A mask with another number of columns than the schema's raises
+    :class:`ContractViolation`, and nothing is written.
+    """
+    if mask.matrix.shape[1] != schema.n_columns:
+        raise ContractViolation(
+            f"{path}: mask has {mask.matrix.shape[1]} columns, "
+            f"the schema has {schema.n_columns}"
+        )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(schema.names)

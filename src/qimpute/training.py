@@ -51,6 +51,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
 IMPUTE_CLAMP_MARGIN = 0.1  # fraction of the fitted range allowed beyond min/max
+_IMPUTE_BLOCK_ROWS = 64  # rows per impute_table block; bounds the model's working memory
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -236,11 +237,10 @@ def impute_table(
     stats: PreprocessStats,
     embedder: CellEmbedder,
     params: ModelParams,
-    batch_rows: int = 64,
 ) -> Table:
     """Fill every missing non-text cell with the trained model's prediction.
 
-    The model runs on ``batch_rows`` rows at a time, which bounds memory;
+    The model runs on ``_IMPUTE_BLOCK_ROWS`` rows at a time, which bounds memory;
     a row's prediction depends on neither the block nor its place in it.
     Numeric outputs are mapped back from normalized space to column units
     and clamped to the fitted range widened by 10% on each side;
@@ -250,13 +250,11 @@ def impute_table(
     must be the embedder's own.
     """
     schema, stats = _embedders_own(schema, stats, embedder)
-    if batch_rows < 1:
-        raise ConfigError(f"batch_rows must be >= 1, got {batch_rows}")
     observed = observed_cells(table, mask)
     features = embedder.embed_table(table, mask)
     cells = []
-    for start in range(0, table.n_rows, batch_rows):
-        rows = np.arange(start, min(start + batch_rows, table.n_rows))
+    for start in range(0, table.n_rows, _IMPUTE_BLOCK_ROWS):
+        rows = np.arange(start, min(start + _IMPUTE_BLOCK_ROWS, table.n_rows))
         batch = Batch(token_masked=~observed[rows], features=features[rows])
         preds = predict_masked(params, batch)
         for col, (batch_row_idx, values) in preds.items():

@@ -312,16 +312,18 @@ def test_eval_reruns_byte_identical(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
-def test_ablate_command(tmp_path):
+def test_ablate_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(eval_config_text(rows=30))
     out = tmp_path / "ablation"
     code = main(["ablate", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert [r["method"] for r in report["results"]] == [
-        "random_projection", "classical_mlp", "quantum_iqp",
-    ]
+    methods = ["random_projection", "classical_mlp", "quantum_iqp"]
+    assert [r["method"] for r in report["results"]] == methods
+    stdout = capsys.readouterr().out
+    assert all(method in stdout for method in methods)
+    assert stdout.endswith(f"wrote {out / 'report.json'} and timings.json\n")
 
 
 def test_export_embeddings_command(tmp_path):
@@ -463,9 +465,12 @@ def test_schema_that_repeats_a_column_single_line_error(tmp_path, capsys):
 def test_bad_config_key_reports_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery.key = 5\n")
-    code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "mystery.key" in capsys.readouterr().err
+    for command in ("eval", "ablate"):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qimpute: error:") and "mystery.key" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Tests for RMSE and macro F1, including brute-force oracle agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qimpute.encoding import fit_preprocessor
+from qimpute.errors import ContractViolation
 from qimpute.metrics import macro_f1_categorical, rmse_numeric, rmse_raw_per_column
 from qimpute.tabular import (
     ColumnKind,
@@ -100,6 +102,29 @@ def test_rmse_rejects_unfilled_masked_cell(score):
     imputed = Table(NUM_SCHEMA, [[13.0], [None]])
     with pytest.raises(ValueError, match=r"still missing cell \(row 1, column 'v'\)"):
         score(imputed, truth, mask_for(NUM_SCHEMA, [[True], [True]]))
+
+
+@pytest.mark.parametrize("truth_rows", [1, 3])
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda imputed, truth, mask: rmse_numeric(imputed, truth, mask, stats_minmax(0, 20)),
+        rmse_raw_per_column,
+        macro_f1_categorical,
+    ],
+    ids=["rmse_numeric", "rmse_raw_per_column", "macro_f1_categorical"],
+)
+def test_a_truth_table_of_another_row_count_is_rejected(score, truth_rows):
+    # Read unchecked, a shorter truth raised a bare IndexError and a longer
+    # one was scored on the rows the two tables share.
+    schema = DatasetSchema(
+        (ColumnSpec("v", ColumnKind.NUMERIC), ColumnSpec("g", ColumnKind.CATEGORICAL))
+    )
+    imputed = Table(schema, [[13.0, "a"], [16.0, "b"]])
+    truth = Table(schema, [[10.0, "a"]] * truth_rows)
+    message = f"mask has shape (2, 2), the table has shape ({truth_rows}, 2)"
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        score(imputed, truth, Mask(np.ones((2, 2), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qimpute import baselines, experiment
+from qimpute import baselines, experiment, training
 from qimpute.baselines import (
     BaselineConfig,
     iterative_ridge_impute,
@@ -123,11 +123,12 @@ def test_impute_table_keeps_observed_and_fills_masked(case, variant):
     stats = fit_preprocessor(apply_mask(table, mask), SCHEMA, text_dim=4)
     embedder = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
     params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
-    out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=3)
+    with mock.patch.object(training, "_IMPUTE_BLOCK_ROWS", 3):
+        out = impute_table(table, mask, SCHEMA, stats, embedder, params)
     check_imputation(table, mask, before, out)
 
 
-@pytest.mark.parametrize("batch_rows", [1, 7, 256])
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
 # No shrinking: every example runs two imputations of up to 40 rows, and
 # shrinking a failure took minutes.
 @settings(PROPERTY_SETTINGS, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -136,7 +137,7 @@ def test_impute_table_keeps_observed_and_fills_masked(case, variant):
     variant=st.sampled_from(list(EmbedderVariant)),
     data=st.data(),
 )
-def test_impute_table_follows_a_row_permutation_bitwise(batch_rows, case, variant, data):
+def test_impute_table_follows_a_row_permutation_bitwise(block_rows, case, variant, data):
     # A row's fills do not depend on its block, its place in the block or
     # the block's row count.
     table, mask = case
@@ -144,11 +145,10 @@ def test_impute_table_follows_a_row_permutation_bitwise(batch_rows, case, varian
     stats = fit_preprocessor(apply_mask(table, mask), SCHEMA, text_dim=4)
     embedder = CellEmbedder(SCHEMA, stats, variant, seed=1, n_qubits=4, n_layers=1)
     params = init_params(SCHEMA, stats, SMALL_MODEL, seed=0, mlp_d_in=embedder.mlp_d_in)
-    out = impute_table(table, mask, SCHEMA, stats, embedder, params, batch_rows=batch_rows)
     permuted = Table(SCHEMA, [list(table.rows[p]) for p in perm])
-    again = impute_table(
-        permuted, Mask(mask.matrix[perm]), SCHEMA, stats, embedder, params, batch_rows=batch_rows
-    )
+    with mock.patch.object(training, "_IMPUTE_BLOCK_ROWS", block_rows):
+        out = impute_table(table, mask, SCHEMA, stats, embedder, params)
+        again = impute_table(permuted, Mask(mask.matrix[perm]), SCHEMA, stats, embedder, params)
     assert again.content_hash() == Table(SCHEMA, [out.rows[p] for p in perm]).content_hash()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qimpute
-from qimpute.errors import CsvLoadError
+from qimpute.errors import ContractViolation, CsvLoadError
 from qimpute.tabular import (
     ColumnKind,
     ColumnSpec,
@@ -120,6 +120,23 @@ def test_missing_mask():
     assert m.matrix[1, 0] and m.matrix[2, 1] and m.matrix[2, 2]
 
 
+@pytest.mark.parametrize("case", ["no rows", "one column", "empty text", "negative zero"])
+def test_missing_mask_is_the_per_cell_none_test(case):
+    # A present empty text and a numeric -0.0 are not missing.
+    table = {
+        "no rows": Table(SCHEMA, []),
+        "one column": Table(DatasetSchema((SCHEMA.columns[1],)), [["a"], [None], ["b"]]),
+        "empty text": Table(SCHEMA, [[1.0, "a", ""], [None, "", None]]),
+        "negative zero": Table(SCHEMA, [[-0.0, "a", "x"], [0.0, None, "y"]]),
+    }[case]
+    per_cell = np.array(
+        [[cell is None for cell in row] for row in table.rows], dtype=bool
+    ).reshape(table.n_rows, table.schema.n_columns)
+    matrix = missing_mask(table).matrix
+    assert matrix.dtype == bool and matrix.shape == per_cell.shape
+    assert np.array_equal(matrix, per_cell)
+
+
 def test_csv_round_trip(tmp_path):
     table = make_table()
     path = tmp_path / "mini.csv"
@@ -205,6 +222,15 @@ def test_mask_round_trip(tmp_path):
     save_mask(mask, SCHEMA, path)
     back = load_mask(path, SCHEMA)
     assert np.array_equal(back.matrix, mask.matrix)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_save_mask_rejects_a_mask_of_another_width(tmp_path, width):
+    # Written, its records would have another field count than the header.
+    path = tmp_path / "mask.csv"
+    with pytest.raises(ContractViolation, match=f"mask has {width} columns, the schema has 3"):
+        save_mask(Mask(np.zeros((3, width), dtype=bool)), SCHEMA, path)
+    assert not path.exists()
 
 
 def test_apply_mask_blanks_cells():

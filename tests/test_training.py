@@ -21,11 +21,11 @@ from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
 from qimpute.errors import (
     CheckpointError,
-    ConfigError,
     ContractViolation,
     FitError,
     TrainingDiverged,
 )
+from qimpute.metrics import macro_f1_categorical, rmse_numeric, rmse_raw_per_column
 from qimpute.model import LossBreakdown, ModelConfig, init_params
 from qimpute.tabular import (
     ColumnKind,
@@ -33,6 +33,7 @@ from qimpute.tabular import (
     DatasetSchema,
     Mask,
     Table,
+    apply_mask,
     inject_mcar,
 )
 from qimpute.training import (
@@ -310,7 +311,8 @@ def test_blocks_see_only_rows_with_a_query(monkeypatch):
     config = TrainConfig(epochs=2, batch_size=16, seed=8, learning_rate=1e-3, mask_rate=0.05)
     result = train(table, mask, table.schema, stats, embedder, model, config)
     n_train = len(steps)
-    impute_table(table, mask, table.schema, stats, embedder, result.params, batch_rows=16)
+    monkeypatch.setattr(training_module, "_IMPUTE_BLOCK_ROWS", 16)
+    impute_table(table, mask, table.schema, stats, embedder, result.params)
     assert n_train == 8 and len(steps) == 12
     for live, _, blocks in steps:
         assert blocks == [((live, n_cols), live * n_cols)] * 2
@@ -438,22 +440,15 @@ def synthetic_setup(n_rows, seed=3, epochs=1):
     return table, mask, stats, embedder, params
 
 
-def test_impute_block_size_changes_no_output():
+def test_impute_block_size_changes_no_output(monkeypatch):
     table, mask, stats, embedder, params = synthetic_setup(300)
-    hashes = {
-        rows: impute_table(
-            table, mask, table.schema, stats, embedder, params, batch_rows=rows
+    hashes = {}
+    for rows in (1, 7, 64, 256):
+        monkeypatch.setattr(training_module, "_IMPUTE_BLOCK_ROWS", rows)
+        hashes[rows] = impute_table(
+            table, mask, table.schema, stats, embedder, params
         ).content_hash()
-        for rows in (1, 7, 64, 256)
-    }
     assert len(set(hashes.values())) == 1, hashes
-
-
-@pytest.mark.parametrize("batch_rows", [0, -1])
-def test_impute_rejects_a_block_size_below_one(batch_rows):
-    table, mask, stats, embedder, params = trained_toy(epochs=1)
-    with pytest.raises(ConfigError, match="batch_rows"):
-        impute_table(table, mask, table.schema, stats, embedder, params, batch_rows=batch_rows)
 
 
 def test_impute_memory_is_bounded_by_its_row_blocks():
@@ -493,11 +488,14 @@ def trained_one_epoch():
 
 @pytest.mark.parametrize("shape", ["(1, C)", "(n, 1)", "(n + 1, C)"])
 @pytest.mark.parametrize(
-    "entry", ["embed_table", "train", "impute_table", "mean_mode", "knn", "iterative_ridge"]
+    "entry",
+    ["embed_table", "train", "impute_table", "mean_mode", "knn", "iterative_ridge",
+     "apply_mask", "rmse_numeric", "macro_f1_categorical", "rmse_raw_per_column"],
 )
 def test_a_mask_of_another_shape_than_the_table_is_rejected(trained_one_epoch, shape, entry):
     # Broadcast over the table, a (1, C) mask holding column 0 would hold
-    # out all of column 0, and impute_table would overwrite its observed cells.
+    # out all of column 0, impute_table would overwrite its observed cells,
+    # and a metric would score the wrong cells.
     table, _, stats, embedder, params = trained_one_epoch
     n, c = table.n_rows, table.schema.n_columns
     matrix = np.zeros({"(1, C)": (1, c), "(n, 1)": (n, 1), "(n + 1, C)": (n + 1, c)}[shape])
@@ -511,6 +509,10 @@ def test_a_mask_of_another_shape_than_the_table_is_rejected(trained_one_epoch, s
         "mean_mode": lambda: mean_mode_impute(table, mask),
         "knn": lambda: knn_impute(table, mask, k=3),
         "iterative_ridge": lambda: iterative_ridge_impute(table, mask, BaselineConfig()),
+        "apply_mask": lambda: apply_mask(table, mask),
+        "rmse_numeric": lambda: rmse_numeric(table, table, mask, stats),
+        "macro_f1_categorical": lambda: macro_f1_categorical(table, table, mask),
+        "rmse_raw_per_column": lambda: rmse_raw_per_column(table, table, mask),
     }
     message = f"mask has shape {matrix.shape}, the table has shape {(n, c)}"
     with pytest.raises(ContractViolation, match=re.escape(message)):
