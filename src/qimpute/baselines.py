@@ -48,7 +48,8 @@ class _Frame:
 
     Slot ``s`` of the numeric (categorical) arrays holds schema column
     ``numeric_cols[s]`` (``categorical_cols[s]``); unobserved cells are nan
-    (code -1).
+    (code -1). The arrays are read-only, so one frame can serve every
+    baseline run on the same table and mask.
     """
 
     def __init__(self, table: Table, mask: Mask):
@@ -78,6 +79,8 @@ class _Frame:
             stats = fit_column(schema.columns[j], values)
             self.vocabularies.append(stats.vocabulary)
             self.cat_idx[rows, slot] = stats.codes(values)
+        for array in (self.observed, self.num_values, self.num_norm, self.cat_idx):
+            array.flags.writeable = False
 
     def column_fills(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays shaped like ``num_values`` and ``cat_idx`` that hold, in
@@ -126,37 +129,12 @@ def _neighbour_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, finite.sum(axis=1)
 
 
-def _nearest(
-    order: np.ndarray, n_finite: np.ndarray, candidate: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``order``, the first ``k`` rows it lists that are
-    candidates and among its ``n_finite`` nearest: an (m, k) array of row
-    indices padded with -1, and the number found per row.
-
-    A short prefix of each order is scanned first; only rows that found
-    fewer than ``k`` there while finite distances remain scan it all.
-    """
-    m, n = order.shape
-    picks = np.full((m, k), -1)
-    found = np.zeros(m, dtype=int)
-    todo, width = np.arange(m), min(n, 4 * k)
-    while todo.size:
-        head = order[todo, :width]
-        hit = candidate[head] & (np.arange(width) < n_finite[todo, None])
-        rank = np.cumsum(hit, axis=1)
-        rows, cols = np.nonzero(hit & (rank <= k))
-        picks[todo[rows], rank[rows, cols] - 1] = head[rows, cols]
-        found[todo] = np.minimum(rank[:, -1], k)
-        if width == n:
-            break
-        todo = todo[(found[todo] < k) & (n_finite[todo] > width)]
-        width = n
-    return picks, found
-
-
 def mean_mode_impute(table: Table, mask: Mask) -> Table:
     """Numeric missing cells get the observed column mean, categorical the mode."""
-    frame = _Frame(table, mask)
+    return _mean_mode(_Frame(table, mask))
+
+
+def _mean_mode(frame: _Frame) -> Table:
     return frame.completed(*frame.column_fills())
 
 
@@ -174,30 +152,40 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
 
     Distances are computed for a group of query rows at a time: squared
     differences added one numeric column at a time in schema order, counts
-    and Hamming terms by gemm; neighbours are then picked per target column.
+    and Hamming terms by gemm. The neighbours of every (query row, target
+    column) pair of the group are then picked in one pass over a short
+    prefix of the rows' orders; only pairs left short of k scan the whole
+    order.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return _knn(_Frame(table, mask), k)
+
+
+def _knn(frame: _Frame, k: int) -> Table:
+    n_rows = frame.table.n_rows
     # A row is never its own candidate, so no group reaches n_rows neighbours.
-    k = min(k, table.n_rows)
-    frame = _Frame(table, mask)
-    num_obs = ~np.isnan(frame.num_norm)
-    cat_obs = frame.cat_idx >= 0
+    k = min(k, n_rows)
+    # Target columns: the numeric slots, then the categorical ones.
+    observed = frame.observed[:, frame.numeric_cols + frame.categorical_cols]
+    p_num = len(frame.numeric_cols)
+    num_obs, cat_obs = observed[:, :p_num], observed[:, p_num:]
     num_fill, cat_fill = frame.column_fills()
 
     num_cols = np.ascontiguousarray(frame.num_norm.T)  # nan: unobserved
     num_w, cat_w = num_obs.astype(np.float64), cat_obs.astype(np.float64)
     widths = [len(v) for v in frame.vocabularies]
-    onehot = np.zeros((table.n_rows, sum(widths)))
+    top = max(widths, default=1)  # every column's codes fit, and padding counts stay 0
+    onehot = np.zeros((n_rows, sum(widths)))
     rows, slots = np.nonzero(cat_obs)
     onehot[rows, np.cumsum([0] + widths)[slots] + frame.cat_idx[rows, slots]] = 1.0
 
     # A row's distances do not depend on the target column, which is never
     # mutually observed; nor is a row ever a candidate for its own missing cells.
-    queries = np.flatnonzero(~num_obs.all(axis=1) | ~cat_obs.all(axis=1))
+    queries = np.flatnonzero(~observed.all(axis=1))
     for first in range(0, queries.size, _KNN_GROUP_ROWS):
         group = queries[first : first + _KNN_GROUP_ROWS]
-        d = np.zeros((group.size, table.n_rows))  # the Euclidean part first
+        d = np.zeros((group.size, n_rows))  # the Euclidean part first
         sq = np.empty_like(d)
         for col in num_cols:
             np.square(np.subtract(col[group, None], col, out=sq), out=sq)
@@ -211,30 +199,50 @@ def knn_impute(table: Table, mask: Mask, k: int = 5) -> Table:
             d /= counts
         d[counts == 0] = np.inf
         order, n_finite = _neighbour_order(d)
-        for s, values in enumerate(frame.num_values.T):
-            at = np.flatnonzero(~num_obs[group, s])
-            picks, found = _nearest(order[at], n_finite[at], num_obs[:, s], k)
-            full = found == k
-            # Row sums of the (m, k) gather add in np.mean's order; shorter
-            # groups take np.mean itself (its summation order depends on length).
-            num_fill[group[at[full]], s] = values[picks[full]].sum(axis=1) / k
-            for i in np.flatnonzero((found > 0) & ~full):
-                num_fill[group[at[i]], s] = np.mean(values[picks[i, : found[i]]])
-        for s, width in enumerate(widths):
-            at = np.flatnonzero(~cat_obs[group, s])
-            picks, found = _nearest(order[at], n_finite[at], cat_obs[:, s], k)
-            rows, ranks = np.nonzero(picks >= 0)
-            cells = rows * width + frame.cat_idx[picks[rows, ranks], s]
-            tally = np.bincount(cells, minlength=at.size * width).reshape(at.size, width)
-            has = found > 0
-            cat_fill[group[at[has]], s] = tally[has].argmax(axis=1)  # ties: lowest code
+
+        # picks[i, s]: the first k rows of order[i] that are finite and
+        # observed in target s, padded with -1; found[i, s]: how many. Each
+        # order's prefix is read first, and the whole order only by the pairs
+        # that found fewer than k there while finite distances remain.
+        need = ~observed[group]
+        picks = np.full(need.shape + (k,), -1)
+        found = np.zeros(need.shape, dtype=int)
+        pairs = np.nonzero(need)
+        for width in (min(n_rows, 4 * k), n_rows):
+            # No (pairs, width) array outgrows the (64, n_rows) distances.
+            step = _KNN_GROUP_ROWS * n_rows // width
+            for start in range(0, pairs[0].size, step):
+                i, s = (p[start : start + step] for p in pairs)
+                head = order[i, :width]
+                hit = observed[head, s[:, None]] & (np.arange(width) < n_finite[i, None])
+                rank = np.cumsum(hit, axis=1)
+                a, r = np.nonzero(hit & (rank <= k))
+                picks[i[a], s[a], rank[a, r] - 1] = head[a, r]
+                found[i, s] = np.minimum(rank[:, -1], k)
+            pairs = np.nonzero(need & (found < k) & (n_finite[:, None] > width))
+
+        i, s = np.nonzero(need[:, :p_num])
+        values = frame.num_values[picks[i, s], s[:, None]]  # (pairs, k); a -1 pick is unused
+        full = found[i, s] == k
+        # Row sums of the (pairs, k) gather add in np.mean's order; shorter
+        # groups take np.mean itself (its summation order depends on length).
+        num_fill[group[i[full]], s[full]] = values[full].sum(axis=1) / k
+        for a in np.flatnonzero((found[i, s] > 0) & ~full):
+            num_fill[group[i[a]], s[a]] = np.mean(values[a, : found[i[a], s[a]]])
+
+        i, s = np.nonzero(need[:, p_num:])
+        cat_picks, cat_found = picks[i, p_num + s], found[i, p_num + s]
+        pair, ranks = np.nonzero(cat_picks >= 0)
+        codes = frame.cat_idx[cat_picks[pair, ranks], s[pair]]
+        tally = np.bincount(pair * top + codes, minlength=i.size * top).reshape(i.size, top)
+        has = cat_found > 0
+        cat_fill[group[i[has]], s[has]] = tally[has].argmax(axis=1)  # ties: lowest code
     return frame.completed(num_fill, cat_fill)
 
 
 def iterative_ridge_impute(table: Table, mask: Mask, config: BaselineConfig) -> Table:
     """Chained closed-form ridge sweeps; see :func:`iterative_ridge_with_trace`."""
-    completed, _, _ = iterative_ridge_with_trace(table, mask, config)
-    return completed
+    return iterative_ridge_with_trace(table, mask, config)[0]
 
 
 def iterative_ridge_with_trace(
@@ -248,8 +256,11 @@ def iterative_ridge_with_trace(
     one-hot categorical predictors. Intercepts are handled by centering,
     so a column with no informative predictors falls back to its mean.
     """
-    frame = _Frame(table, mask)
-    n_rows = table.n_rows
+    return _ridge(_Frame(table, mask), config)
+
+
+def _ridge(frame: _Frame, config: BaselineConfig) -> tuple[Table, list[float], bool]:
+    n_rows = frame.table.n_rows
     p_num = len(frame.numeric_cols)
     widths = [len(v) for v in frame.vocabularies]
     offsets = np.cumsum([p_num] + widths)
@@ -265,49 +276,53 @@ def iterative_ridge_with_trace(
     work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
     for s, offset in enumerate(offsets[:-1]):
         design[np.arange(n_rows), offset + work_cat[:, s]] = 1.0
-    # Each column's design columns: its numeric slot or its one-hot block.
-    blocks = {j: range(s, s + 1) for s, j in enumerate(frame.numeric_cols)}
-    for s, j in enumerate(frame.categorical_cols):
-        blocks[j] = range(offsets[s], offsets[s + 1])
     all_cols = np.arange(offsets[-1])
 
-    schema_order = sorted(frame.numeric_cols + frame.categorical_cols)
-    target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
-
-    def ridge_predict(x_train, y_train, x_all):
-        """Centered closed-form ridge (the y mean when x has no columns); y may be 2-d."""
-        x_mean = x_train.mean(axis=0)
-        y_mean = y_train.mean(axis=0)
-        xc = x_train - x_mean
-        yc = y_train - y_mean
-        gram = xc.T @ xc + config.ridge_lambda * np.eye(x_train.shape[1])
-        beta = np.linalg.solve(gram, xc.T @ yc)
-        return y_mean + (x_all - x_mean) @ beta
+    # What no sweep changes, per incomplete column in schema order: its slot,
+    # missing and training rows, own design columns (its numeric slot or
+    # one-hot block), its predictors' design columns and its centered target.
+    plans = []
+    for j in sorted(frame.numeric_cols + frame.categorical_cols):
+        observed = frame.observed[:, j]
+        if observed.all():
+            continue
+        train_rows = np.flatnonzero(observed)
+        if j in frame.numeric_cols:
+            s = frame.numeric_cols.index(j)
+            block, y = range(s, s + 1), frame.num_norm[train_rows, s]
+        else:
+            s = frame.categorical_cols.index(j)
+            block = range(offsets[s], offsets[s + 1])
+            y = np.eye(widths[s])[frame.cat_idx[train_rows, s]]
+        y_mean = y.mean(axis=0)
+        plans.append((s, np.flatnonzero(~observed), train_rows, block,
+                      np.delete(all_cols, block), y_mean, y - y_mean))
 
     changes: list[float] = []
     converged = False
     for _ in range(config.max_sweeps):
-        deltas: list[float] = []
-        for j in target_cols:
-            missing_rows = np.flatnonzero(~frame.observed[:, j])
-            train_rows = np.flatnonzero(frame.observed[:, j])
+        deltas: list[np.ndarray] = []
+        for s, missing_rows, train_rows, block, keep, y_mean, yc in plans:
+            # Centered closed-form ridge (the y mean when x has no columns).
             # np.take, not design[:, keep]: BLAS results depend on the memory
             # layout, and np.take gives C-contiguous predictors.
-            x = np.take(design, np.delete(all_cols, blocks[j]), axis=1)
-            if j in frame.numeric_cols:
-                s = frame.numeric_cols.index(j)
-                new = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)[missing_rows]
-                deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
-                work_num[missing_rows, s] = new
+            x = np.take(design, keep, axis=1)
+            x_train = x[train_rows]
+            x_mean = x_train.mean(axis=0)
+            xc = x_train - x_mean
+            gram = xc.T @ xc + config.ridge_lambda * np.eye(keep.size)
+            beta = np.linalg.solve(gram, xc.T @ yc)
+            predicted = (y_mean + (x - x_mean) @ beta)[missing_rows]
+            if block.start < p_num:  # a numeric slot
+                deltas.append(np.abs(predicted - work_num[missing_rows, s]))
+                work_num[missing_rows, s] = predicted
             else:
-                s = frame.categorical_cols.index(j)
-                onehot = np.eye(widths[s])[frame.cat_idx[train_rows, s]]
-                new = np.argmax(ridge_predict(x[train_rows], onehot, x)[missing_rows], axis=1)
-                deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
+                new = np.argmax(predicted, axis=1)
+                deltas.append((new != work_cat[missing_rows, s]).astype(float))
                 work_cat[missing_rows, s] = new
-                design[missing_rows, blocks[j].start : blocks[j].stop] = 0.0
-                design[missing_rows, blocks[j].start + new] = 1.0
-        change = float(np.mean(deltas)) if deltas else 0.0
+                design[missing_rows, block.start : block.stop] = 0.0
+                design[missing_rows, block.start + new] = 1.0
+        change = float(np.mean(np.concatenate(deltas))) if deltas else 0.0
         changes.append(change)
         if change < config.tolerance:
             converged = True

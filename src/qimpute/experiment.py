@@ -28,12 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import (
-    BaselineConfig,
-    iterative_ridge_impute,
-    knn_impute,
-    mean_mode_impute,
-)
+from .baselines import BaselineConfig, _Frame, _knn, _mean_mode, _ridge
 from .datasets import synth_healthcare_generate
 from .encoding import CellEmbedder, EmbedderVariant, PreprocessStats, fit_preprocessor
 from .errors import ConfigError
@@ -100,7 +95,8 @@ class ExperimentConfig:
 
 @dataclass
 class PreparedSplit:
-    """One seed's data: working table, truth sidecar, masks, fitted stats."""
+    """One seed's data: working table, truth sidecar, masks, fitted stats, and
+    the baselines' read-only frame of the working table."""
 
     schema: DatasetSchema
     working: Table
@@ -108,6 +104,7 @@ class PreparedSplit:
     eval_mask: Mask  # held-out cells to score (injected MCAR + generator MNAR)
     stats: PreprocessStats
     mask_hash: str
+    frame: _Frame
 
 
 def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
@@ -131,18 +128,19 @@ def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
         eval_mask=eval_mask,
         stats=stats,
         mask_hash=missing_mask(working).content_hash(),
+        frame=_Frame(working, empty_mask(working)),
     )
 
 
 def run_method(method: str, split: PreparedSplit, config: ExperimentConfig, seed: int) -> Table:
     """Impute the split's working table with one method."""
-    extra = empty_mask(split.working)
     if method == "mean_mode":
-        return mean_mode_impute(split.working, extra)
+        return _mean_mode(split.frame)
     if method == "knn":
-        return knn_impute(split.working, extra, k=config.baseline.k)
+        return _knn(split.frame, config.baseline.k)
     if method == "iterative_ridge":
-        return iterative_ridge_impute(split.working, extra, config.baseline)
+        return _ridge(split.frame, config.baseline)[0]
+    extra = empty_mask(split.working)
     variant = VARIANT_METHODS[method]
     embedder = CellEmbedder(
         split.schema,

@@ -310,6 +310,14 @@ def test_baselines_ignore_text_columns():
         assert out.rows[0][2] == "alpha"
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_knn_rejects_k_below_one_as_config_error(k):
+    # As BaselineConfig(k=0) does; ConfigError is also a ValueError.
+    table = Table(TWO_NUM, [[0.0, None], [0.1, 10.0]])
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        knn_impute(table, no_extra_mask(table), k=k)
+
+
 def test_baseline_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(k=0)

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, scoring, reports, and embedding export."""
 
 import csv
+import itertools
 import math
 import multiprocessing
 import os
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 import qimpute.experiment as experiment_module
+from qimpute.baselines import iterative_ridge_impute, knn_impute, mean_mode_impute
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
 from qimpute.errors import ConfigError
 from qimpute.experiment import (
+    BASELINE_METHODS,
     ExperimentConfig,
     ablation_suite,
     export_embeddings,
@@ -166,10 +169,10 @@ def test_report_aggregates_match_per_seed_values():
 
 
 def test_method_failure_recorded_without_aborting(monkeypatch):
-    def explode(table, mask):
+    def explode(frame):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(experiment_module, "mean_mode_impute", explode)
+    monkeypatch.setattr(experiment_module, "_mean_mode", explode)
     report = run_experiment(fast_config(methods=("mean_mode", "knn"), seeds=(0,)))
     mean_mode = report.results[0]
     assert mean_mode.per_seed[0].error is not None
@@ -213,6 +216,31 @@ def test_methods_leave_the_shared_split_unchanged():
         assert split.working.content_hash() == working, method
         assert split.mask_hash == mask_hash == missing_mask(split.working).content_hash(), method
         assert pickle.dumps(split.stats) == stats, method
+
+
+def test_split_frame_is_read_only():
+    frame = prepare_split(fast_config(n_rows=40), seed=0).frame
+    for array in (frame.observed, frame.num_values, frame.num_norm, frame.cat_idx):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+@pytest.mark.parametrize("methods", list(itertools.permutations(BASELINE_METHODS)))
+def test_baselines_on_the_shared_frame_match_fresh_frames(methods):
+    """Whatever order the baselines run in on one split's frame, each gives
+    what its public function gives on a frame of its own."""
+    config = fast_config(n_rows=60)
+    split = prepare_split(config, seed=2)
+    working, extra = split.working, empty_mask(split.working)
+    expected = {
+        "mean_mode": mean_mode_impute(working, extra),
+        "knn": knn_impute(working, extra, k=config.baseline.k),
+        "iterative_ridge": iterative_ridge_impute(working, extra, config.baseline),
+    }
+    for method in methods:
+        got = run_method(method, split, config, seed=2)
+        assert got.content_hash() == expected[method].content_hash(), method
 
 
 def test_threads_parallel_matches_sequential(tmp_path):

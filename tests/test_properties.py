@@ -358,6 +358,69 @@ def test_knn_with_k_far_beyond_the_row_count():
     assert peak < 10**6
 
 
+def knn_groups_seen(table: Table, k: int) -> list:
+    """(d, order, n_finite) of every query group ``knn_impute`` orders."""
+    seen = []
+    pick = baselines._neighbour_order
+
+    def recording(d):
+        order, n_finite = pick(d)
+        seen.append((d.copy(), order, n_finite))
+        return order, n_finite
+
+    with mock.patch.object(baselines, "_neighbour_order", recording):
+        knn_impute(table, Mask(np.zeros((table.n_rows, table.schema.n_columns), dtype=bool)), k=k)
+    return seen
+
+
+CATEGORICAL_HEAVY = DatasetSchema(
+    (ColumnSpec("x", ColumnKind.NUMERIC),)
+    + tuple(ColumnSpec(f"c{i}", ColumnKind.CATEGORICAL) for i in range(4)),
+    name="categorical_heavy",
+)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_knn_matches_one_row_at_a_time_when_every_query_row_has_ties(k):
+    """Four categoricals of two or three levels and a numeric column of two
+    values: distances take few values, so each query row's order rests on
+    the stable re-sort of exact ties, in every one of three query groups."""
+    rng = np.random.default_rng(11)
+    rows = [
+        [
+            None if rng.random() < 0.3 else float(rng.integers(2)),
+            *(None if rng.random() < 0.2 else "abc"[rng.integers(2 + i % 2)] for i in range(4)),
+        ]
+        for _ in range(220)
+    ]
+    table = Table(CATEGORICAL_HEAVY, rows)
+    seen = knn_groups_seen(table, k)
+    assert len(seen) == 3
+    for d, _, _ in seen:
+        for row in d:
+            finite = np.sort(row[np.isfinite(row)])
+            assert (finite[1:] == finite[:-1]).any()
+    mask = Mask(np.zeros((table.n_rows, CATEGORICAL_HEAVY.n_columns), dtype=bool))
+    expected = knn_one_row_at_a_time(table, mask, k)
+    assert knn_impute(table, mask, k=k).content_hash() == expected.content_hash()
+
+
+def test_knn_row_with_one_column_settled_in_the_prefix_and_one_scanning_all():
+    """k = 2, so the pick first reads 4k = 8 neighbours. Row 0 misses x and
+    y; its ten nearest rows (distance 0) hold x but not y, and only three
+    farther rows hold y. So in the same group row 0's x is settled inside
+    the prefix while its y needs the whole order."""
+    near = [[float(i), "a", "", None, "b"] for i in range(10)]
+    far = [[20.0 + i, "b", "", 5.0 + i, "a"] for i in range(3)]
+    rows = [[None, "a", "", None, "b"]] + near + far
+    (d, order, n_finite), = knn_groups_seen(Table(SCHEMA, rows), k=2)
+    prefix = order[0, :8]
+    assert np.isfinite(d[0, prefix]).all() and n_finite[0] > 8
+    assert sum(rows[r][0] is not None for r in prefix) >= 2
+    assert all(rows[r][3] is None for r in prefix)
+    assert_knn_matches_one_row_at_a_time(rows, k=2)
+
+
 # ---------------------------------------------------------------------------
 # iterative ridge against a predictor matrix rebuilt for every target
 # ---------------------------------------------------------------------------
@@ -464,6 +527,126 @@ def test_iterative_ridge_matches_predictor_matrix_reference(schema, data, config
     table, mask = case
     completed, changes, converged = iterative_ridge_with_trace(table, mask, config)
     expected, expected_changes, expected_converged = ridge_with_predictor_matrix(
+        table, mask, config
+    )
+    assert completed.content_hash() == expected.content_hash()
+    assert [c.hex() for c in changes] == [c.hex() for c in expected_changes]
+    assert converged == expected_converged
+
+
+def ridge_with_design_matrix_per_sweep(table: Table, mask: Mask, config: BaselineConfig):
+    """Iterative ridge as it was computed before each target's rows,
+    predictors and centered target were planned once: every sweep finds
+    them again, and the deltas are gathered as a list of Python floats."""
+    frame = baselines._Frame(table, mask)
+    n_rows = table.n_rows
+    p_num = len(frame.numeric_cols)
+    widths = [len(v) for v in frame.vocabularies]
+    offsets = np.cumsum([p_num] + widths)
+
+    # Working state in normalized space, initialized with mean/mode: the
+    # design matrix holds the numeric slots, then each categorical's one-hot
+    # block, and is updated in place after each column's prediction.
+    design = np.zeros((n_rows, offsets[-1]))
+    work_num = design[:, :p_num]  # view
+    work_num[:] = frame.num_norm
+    for s, col in enumerate(work_num.T):  # column views
+        col[np.isnan(col)] = np.nanmean(frame.num_norm[:, s])
+    work_cat = np.where(frame.cat_idx < 0, frame.column_fills()[1], frame.cat_idx)
+    for s, offset in enumerate(offsets[:-1]):
+        design[np.arange(n_rows), offset + work_cat[:, s]] = 1.0
+    # Each column's design columns: its numeric slot or its one-hot block.
+    blocks = {j: range(s, s + 1) for s, j in enumerate(frame.numeric_cols)}
+    for s, j in enumerate(frame.categorical_cols):
+        blocks[j] = range(offsets[s], offsets[s + 1])
+    all_cols = np.arange(offsets[-1])
+
+    schema_order = sorted(frame.numeric_cols + frame.categorical_cols)
+    target_cols = [j for j in schema_order if not frame.observed[:, j].all()]
+
+    def ridge_predict(x_train, y_train, x_all):
+        """Centered closed-form ridge (the y mean when x has no columns); y may be 2-d."""
+        x_mean = x_train.mean(axis=0)
+        y_mean = y_train.mean(axis=0)
+        xc = x_train - x_mean
+        yc = y_train - y_mean
+        gram = xc.T @ xc + config.ridge_lambda * np.eye(x_train.shape[1])
+        beta = np.linalg.solve(gram, xc.T @ yc)
+        return y_mean + (x_all - x_mean) @ beta
+
+    changes: list[float] = []
+    converged = False
+    for _ in range(config.max_sweeps):
+        deltas: list[float] = []
+        for j in target_cols:
+            missing_rows = np.flatnonzero(~frame.observed[:, j])
+            train_rows = np.flatnonzero(frame.observed[:, j])
+            # np.take, not design[:, keep]: BLAS results depend on the memory
+            # layout, and np.take gives C-contiguous predictors.
+            x = np.take(design, np.delete(all_cols, blocks[j]), axis=1)
+            if j in frame.numeric_cols:
+                s = frame.numeric_cols.index(j)
+                new = ridge_predict(x[train_rows], frame.num_norm[train_rows, s], x)[missing_rows]
+                deltas.extend(np.abs(new - work_num[missing_rows, s]).tolist())
+                work_num[missing_rows, s] = new
+            else:
+                s = frame.categorical_cols.index(j)
+                onehot = np.eye(widths[s])[frame.cat_idx[train_rows, s]]
+                new = np.argmax(ridge_predict(x[train_rows], onehot, x)[missing_rows], axis=1)
+                deltas.extend((new != work_cat[missing_rows, s]).astype(float).tolist())
+                work_cat[missing_rows, s] = new
+                design[missing_rows, blocks[j].start : blocks[j].stop] = 0.0
+                design[missing_rows, blocks[j].start + new] = 1.0
+        change = float(np.mean(deltas)) if deltas else 0.0
+        changes.append(change)
+        if change < config.tolerance:
+            converged = True
+            break
+
+    num_fill = np.empty_like(work_num)
+    for s, stats in enumerate(frame.num_stats):
+        num_fill[:, s] = stats.denormalize(work_num[:, s])
+    return frame.completed(num_fill, work_cat), changes, converged
+
+
+@st.composite
+def ridge_cases(draw, schema):
+    """``masked_tables`` cases on which a drawn set of columns is made fully
+    observed and unmasked, so that iterative ridge skips them as targets."""
+    table, mask = draw(masked_tables(schema, max_rows=24))
+    rows, held = [list(row) for row in table.rows], mask.matrix.copy()
+    for c in draw(st.sets(st.sampled_from(range(schema.n_columns)))):
+        for row in rows:
+            if row[c] is None:
+                row[c] = draw(CELLS[schema.kind(c)])
+        held[:, c] = False
+    return Table(schema, rows), Mask(held)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        SCHEMA,
+        schema_of("g", "h"),
+        schema_of("x", "note"),  # a target with no predictors
+        schema_of("g", "note"),
+    ],
+    ids=["mixed", "categorical", "numeric_alone", "categorical_alone"],
+)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    config=st.builds(
+        BaselineConfig,
+        ridge_lambda=st.sampled_from([1.0, 0.01]),
+        max_sweeps=st.integers(1, 6),
+        tolerance=st.sampled_from([1e-4, 0.0]),
+    ),
+)
+def test_iterative_ridge_matches_per_sweep_reference(schema, data, config):
+    table, mask = data.draw(ridge_cases(schema))
+    completed, changes, converged = iterative_ridge_with_trace(table, mask, config)
+    expected, expected_changes, expected_converged = ridge_with_design_matrix_per_sweep(
         table, mask, config
     )
     assert completed.content_hash() == expected.content_hash()
