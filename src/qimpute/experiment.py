@@ -121,14 +121,15 @@ def prepare_split(config: ExperimentConfig, seed: int) -> PreparedSplit:
     working = apply_mask(base, mcar)
     eval_mask = Mask.union(mcar, mnar)
     stats = fit_preprocessor(working, schema, text_dim=config.text_dim)
+    frame = _Frame(working, empty_mask(working))
     return PreparedSplit(
         schema=schema,
         working=working,
         truth=truth,
         eval_mask=eval_mask,
         stats=stats,
-        mask_hash=missing_mask(working).content_hash(),
-        frame=_Frame(working, empty_mask(working)),
+        mask_hash=Mask(~frame.observed).content_hash(),  # the working table's missing cells
+        frame=frame,
     )
 
 

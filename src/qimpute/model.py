@@ -25,11 +25,15 @@ a batch's tokens, in fixed slices.
 Everything is plain numpy in float64. ``loss_and_gradients`` returns exact
 analytic gradients for every tensor (including the optional trainable MLP
 embedder), which the test suite checks against central finite differences.
+The passes write their large arrays into a ``_Workspace``; ``train`` keeps
+one across its steps, so a warm step allocates nothing large.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,48 +187,114 @@ class LossBreakdown:
 
 
 class _Cache:
-    """Forward intermediates needed by the analytic backward pass."""
+    """Forward intermediates needed by the analytic backward pass, and their workspace."""
 
-    __slots__ = ("live", "local", "inputs", "emb", "mlp_act", "blocks")
+    __slots__ = ("ws", "live", "local", "inputs", "emb", "mlp_act", "blocks")
 
-    def __init__(self):
+    def __init__(self, ws):
+        self.ws = ws
         self.blocks = []
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of ``flat``, one per tensor of ``like`` with its shape, in order."""
+    views, start = {}, 0
+    for name, tensor in like.items():
+        views[name] = flat[start : start + tensor.size].reshape(tensor.shape)
+        start += tensor.size
+    return views
+
+
+class _Workspace:
+    """Where a forward and backward pass put their large arrays.
+
+    A workspace for ``rows`` batch rows keeps one buffer per key, sized on
+    its first use for the largest batch (``per_row`` arrays have up to
+    ``rows`` rows, ``per_token`` arrays up to ``rows`` * C tokens, query
+    tokens included), and hands out leading, C-ordered slices of it: an
+    array has the layout of a fresh one, so no product changes its bits,
+    and the steps of ``train`` allocate nothing large after the first.
+    Without ``rows``, for a single pass, every array is fresh and is freed
+    with its last reference. The blocks keep their intermediates for the
+    backward pass if ``retain``. ``grads`` holds one view per tensor, in
+    ``init_params`` order, of the one gradient buffer ``flat_grads``.
+    """
+
+    def __init__(self, params: ModelParams, retain: bool, rows: int | None = None):
+        self.retain = retain
+        self._tensors = params.tensors
+        self._bounds = None if rows is None else {"rows": rows, "tokens": rows * len(params.columns)}
+        self._buffers: dict = {}
+
+    @cached_property
+    def flat_grads(self) -> np.ndarray:
+        return np.empty(sum(t.size for t in self._tensors.values()))
+
+    @cached_property
+    def grads(self) -> dict[str, np.ndarray]:
+        return _flat_views(self.flat_grads, self._tensors)
+
+    def per_row(self, key, *shape, dtype=float) -> np.ndarray:
+        return self._take(key, "rows", shape, dtype)
+
+    def per_token(self, key, *shape, dtype=float) -> np.ndarray:
+        return self._take(key, "tokens", shape, dtype)
+
+    def fixed(self, key, *shape) -> np.ndarray:
+        return self._take((key, shape[0]), None, shape, float)
+
+    def _take(self, key, lead, shape, dtype):
+        if self._bounds is None:
+            return np.empty(shape, dtype)
+        ident = (key, shape[1:], dtype)
+        buffer = self._buffers.get(ident)
+        if buffer is None:
+            bound = self._bounds.get(lead, shape[0])
+            buffer = self._buffers[ident] = np.empty(bound * math.prod(shape[1:]), dtype)
+        return buffer[: math.prod(shape)].reshape(shape)
 
 
 # Rows of a reduction that one gemm sums; longer ones are split (``_matmul``).
 _K_BLOCK = 128
 
 
-def _matmul(a, b):
+def _matmul(a, b, out=None, part=None):
     """``a @ b`` for 2-D operands; a row of the product depends on that row of ``a`` alone.
 
     It gets the same bits at any position, any row count and any BLAS
     thread count. OpenBLAS gemm gives that (measured) when ``a`` has at
     least two rows, ``b`` is C-ordered with at least four columns and the
     reduction has at most ``_K_BLOCK`` terms. So a longer reduction is
-    summed in ``_K_BLOCK`` slices, in order; one row is padded to two,
-    since numpy would send it to gemv; and a narrower ``b`` goes through
-    einsum, which adds each element in one fixed order.
+    summed in ``_K_BLOCK`` slices, in order, each slice's product going
+    through ``part`` (an array shaped like the result); one row is padded
+    to two, since numpy would send it to gemv; and a narrower ``b`` goes
+    through einsum, which adds each element in one fixed order. The
+    product is written into ``out`` when it is given.
     """
     if b.shape[1] < 4:
-        return np.einsum("ij,jk->ik", a, b)
+        return np.einsum("ij,jk->ik", a, b, out=out)
     if a.shape[0] == 1:
-        return _matmul(np.concatenate((a, a)), b)[:1]
-    out = a[:, :_K_BLOCK] @ b[:_K_BLOCK]
+        pair = _matmul(np.concatenate((a, a)), b)[:1]
+        if out is None:
+            return pair
+        out[...] = pair
+        return out
+    out = np.matmul(a[:, :_K_BLOCK], b[:_K_BLOCK], out=out)
     for start in range(_K_BLOCK, b.shape[0], _K_BLOCK):
-        out += a[:, start : start + _K_BLOCK] @ b[start : start + _K_BLOCK]
+        out += np.matmul(a[:, start : start + _K_BLOCK], b[start : start + _K_BLOCK], out=part)
     return out
 
 
-def _weight_grad(a, b):
+def _weight_grad(a, b, out=None, ws=None):
     """Sum over all leading axes of outer(a, b): (..., d), (..., e) -> (d, e)."""
-    return _matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]))
+    part = None if ws is None else ws.fixed("part", a.shape[-1], b.shape[-1])
+    return _matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out, part)
 
 
-def _column_sums(a):
+def _column_sums(a, out=None):
     """Sum over all leading axes: (..., e) -> (e,) as one gemv."""
     flat = a.reshape(-1, a.shape[-1])
-    return np.ones(flat.shape[0]) @ flat
+    return np.matmul(np.ones(flat.shape[0]), flat, out=out)
 
 
 def _row_sums(a):
@@ -237,45 +307,55 @@ def _row_sums(a):
     return np.einsum("...k->...", a)
 
 
-def _layer_norm_forward(x, scale, offset):
-    """Layer norm over the rows of an (N, d) matrix; each row on its own."""
+def _layer_norm_forward(x, scale, offset, xhat, y):
+    """Layer norm over the rows of an (N, d) matrix into ``y``; each row on its own."""
     d = x.shape[1]
-    xhat = x - (_row_sums(x) / d)[:, None]
+    np.subtract(x, (_row_sums(x) / d)[:, None], out=xhat)
     inv_std = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + LN_EPS))[:, None]
     xhat *= inv_std
-    y = xhat * scale
+    np.multiply(xhat, scale, out=y)
     y += offset
     return y, (xhat, inv_std)
 
 
-def _layer_norm_backward(dy, scale, cache):
-    """Input, scale and offset gradients of ``_layer_norm_forward``.
+def _layer_norm_backward(dy, scale, cache, d_scale, d_offset, prod):
+    """Input gradient of ``_layer_norm_forward``, computed in ``dy`` itself.
 
-    The three reductions share one product: the columns of dy * xhat sum
-    to d_scale, and the same matrix against ``scale`` gives the row mean of
-    dxhat * xhat (dxhat = dy * scale), next to the row mean of dxhat.
+    The scale and offset gradients go into ``d_scale`` and ``d_offset``;
+    ``prod`` is scratch shaped like ``dy``. The three reductions share one
+    product: the columns of dy * xhat sum to d_scale, and the same matrix
+    against ``scale`` gives the row mean of dxhat * xhat (dxhat = dy *
+    scale), next to the row mean of dxhat.
     """
     xhat, inv_std = cache
     d = dy.shape[1]
-    prod = dy * xhat
-    d_scale = _column_sums(prod)
+    np.multiply(dy, xhat, out=prod)
+    _column_sums(prod, d_scale)
+    _column_sums(dy, d_offset)
     mean_dxhat = np.einsum("ij,j->i", dy, scale) / d
     mean_dxhat_xhat = np.einsum("ij,j->i", prod, scale) / d
-    dx = dy * scale
+    dx = dy
+    dx *= scale
     dx -= mean_dxhat[:, None]
     dx -= np.multiply(xhat, mean_dxhat_xhat[:, None], out=prod)
     dx *= inv_std
-    return dx, d_scale, _column_sums(dy)
+    return dx
 
 
-def _softmax(x):
+def _softmax(x, scratch=None):
     """Softmax over the last axis, computed in place: ``x`` is overwritten.
 
     The row maxima are taken down the columns of a transposed copy, which
-    numpy reduces far faster than a short last axis.
+    numpy reduces far faster than a short last axis; the copy goes into
+    ``scratch`` (as many elements as ``x``) when it is given.
     """
     rows = x.reshape(-1, x.shape[-1])
-    rows -= rows.T.copy().max(axis=0)[:, None]
+    if scratch is None:
+        transposed = rows.T.copy()
+    else:
+        transposed = scratch.reshape(rows.shape[::-1])
+        np.copyto(transposed, rows.T)
+    rows -= transposed.max(axis=0)[:, None]
     np.exp(rows, out=rows)
     rows /= _row_sums(rows)[:, None]
     return rows.reshape(x.shape)
@@ -289,8 +369,19 @@ def mlp_embed(
     ``xc`` is (..., mlp_d_in); the embeddings are (..., embed_dim) and the
     activations (..., mlp_hidden), which the backward pass reuses.
     """
-    act = np.tanh(xc @ tensors["mlp.w1"] + tensors["mlp.b1"])
-    return act @ tensors["mlp.w2"] + tensors["mlp.b2"], act
+    lead = xc.shape[:-1]
+    act = np.empty(lead + tensors["mlp.b1"].shape)
+    return _mlp_embed(tensors, xc, act, np.empty(lead + tensors["mlp.b2"].shape))
+
+
+def _mlp_embed(tensors, xc, act, emb):
+    """``mlp_embed`` written into ``act`` and ``emb``."""
+    np.matmul(xc, tensors["mlp.w1"], out=act)
+    act += tensors["mlp.b1"]
+    np.tanh(act, out=act)
+    np.matmul(act, tensors["mlp.w2"], out=emb)
+    emb += tensors["mlp.b2"]
+    return emb, act
 
 
 def forward(params: ModelParams, batch: Batch, queries=ALL_ROWS) -> tuple[np.ndarray, _Cache]:
@@ -300,27 +391,28 @@ def forward(params: ModelParams, batch: Batch, queries=ALL_ROWS) -> tuple[np.nda
     blocks run only on the rows holding a query, the last block's tail only
     at the queries themselves, and every other token of the result is 0.
     """
-    return _forward(params, batch, True, queries)
+    return _forward(params, batch, _Workspace(params, True), queries)
 
 
-def _scatter_rows(x, keep, n):
+def _scatter_rows(x, keep, n, ws, key):
     """(n, d) matrix holding the rows of ``x`` at ``keep`` and zeros elsewhere."""
     if keep is ALL_ROWS:
         return x
-    out = np.zeros((n, x.shape[1]))
+    out = ws.per_token(key, n, x.shape[1])
+    out.fill(0.0)
     out[keep] = x
     return out
 
 
-def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[np.ndarray, _Cache]:
-    """The token pipeline; each block's intermediates are kept only if ``retain``."""
+def _forward(params: ModelParams, batch: Batch, ws: _Workspace, queries):
+    """The token pipeline in ``ws``; each block's intermediates are kept if ``ws.retain``."""
     cfg = params.config
     t = params.tensors
     n_cols = len(params.columns)
     b, c = batch.token_masked.shape
     if c != n_cols:
         raise ContractViolation(f"batch has {c} columns, model expects {n_cols}")
-    cache = _Cache()
+    cache = _Cache(ws)
 
     # Attention is row-local, so a row without a query cannot reach the
     # result: gather the live rows and renumber the queries within them.
@@ -332,72 +424,102 @@ def _forward(params: ModelParams, batch: Batch, retain: bool, queries) -> tuple[
     cache.live, cache.local = live, local
     masked = batch.token_masked[live]
     n_live = masked.shape[0]
+    n = n_live * c
 
     width = params.mlp_d_in or cfg.embed_dim
     if batch.features.shape[2] != width:
         raise ContractViolation(
             f"batch feature width {batch.features.shape[2]} != model input width {width}"
         )
-    emb = cache.inputs = batch.features[live]
+    emb = batch.features
+    if live is not ALL_ROWS:
+        emb = np.take(emb, live, axis=0, out=ws.per_row("inputs", n_live, c, width))
+    cache.inputs = emb
     if params.with_mlp:
-        emb, cache.mlp_act = mlp_embed(t, emb)
+        emb, cache.mlp_act = _mlp_embed(
+            t, emb, ws.per_row("mlp_act", n_live, c, cfg.mlp_hidden),
+            ws.per_row("emb", n_live, c, cfg.embed_dim),
+        )
     cache.emb = emb
 
     # Tokens are kept as an (N, d_model) matrix, N = live rows * C, so
     # every projection is one gemm; attention reshapes to head-major views.
     # This is the one place that masks tokens: a token-masked cell's input
     # is never read, the mask vector replaces its projection.
-    projected = _matmul(emb.reshape(n_live * c, emb.shape[2]), t["in_proj.w"])
-    x = np.where(masked.reshape(n_live * c, 1), t["mask_emb"], projected)
+    # the input stage writes where a block before block 0 would
+    x = _matmul(emb.reshape(n, emb.shape[2]), t["in_proj.w"], ws.per_token(("out", 1), n, cfg.d_model))
+    np.copyto(x, t["mask_emb"], where=masked.reshape(n, 1))
     tokens = x.reshape(n_live, c, cfg.d_model)
     tokens += t["col_emb"]
-    store = cache.blocks if retain else None
     for i in range(cfg.n_blocks):
         keep = local if i == cfg.n_blocks - 1 else ALL_ROWS
-        x = _block_forward(t, f"block{i}.", x, (n_live, c), cfg, store, keep)
-    if cfg.n_blocks == 0:
-        x = x[local]
-    return _scatter_rows(x, queries, b * c).reshape(b, c, cfg.d_model), cache
+        x, blk = _block_forward(t, i, x, (n_live, c), cfg, ws, keep)
+        if blk is not None:
+            cache.blocks.append(blk)
+    if cfg.n_blocks == 0 and local is not ALL_ROWS:
+        x = np.take(x, local, axis=0, out=ws.per_token("x_local", local.size, cfg.d_model))
+    hidden = _scatter_rows(x, queries, b * c, ws, "hidden")
+    return hidden.reshape(b, c, cfg.d_model), cache
 
 
-def _block_forward(t, p, x_in, shape, cfg, store, keep):
-    """One pre-norm block on (N, d) tokens, N = B * C for ``shape`` (B, C).
+def _block_forward(t, i, x_in, shape, cfg, ws, keep):
+    """Block ``i``, pre-norm, on (N, d) tokens, N = B * C for ``shape`` (B, C).
 
     Attention runs over every token, the tail after it at the rows ``keep``
-    only. Appends the block's intermediates to ``store`` unless it is None.
+    only. Returns the output, written into one of two buffers that the
+    blocks take in turn, and the block's intermediates if ``ws.retain``.
     """
+    p = f"block{i}."
     b, c = shape
     n, d = x_in.shape
+    k = n if keep is ALL_ROWS else keep.size
     n_heads, d_head = cfg.n_heads, d // cfg.n_heads
-    y1, ln1_cache = _layer_norm_forward(x_in, t[p + "ln1.scale"], t[p + "ln1.offset"])
+
+    def buf(name, rows, width):
+        return ws.per_token((i, name), rows, width)
+
+    y1, ln1_cache = _layer_norm_forward(
+        x_in, t[p + "ln1.scale"], t[p + "ln1.offset"], buf("xhat1", n, d), buf("y1", n, d)
+    )
     # Q, K and V side by side: one (d, 3d) product; checkpoints keep wq/wk/wv
-    w_qkv = np.concatenate((t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]), axis=1)
-    qkv = _matmul(y1, w_qkv)
+    w_qkv = np.concatenate(
+        (t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]), axis=1,
+        out=ws.fixed((i, "w_qkv"), d, 3 * d),
+    )
+    qkv = _matmul(y1, w_qkv, buf("qkv", n, 3 * d))
     qkv += np.concatenate((t[p + "attn.bq"], t[p + "attn.bk"], t[p + "attn.bv"]))
     # (3, B, heads, C, d_head) views of the one product
     qh, kh, vh = qkv.reshape(b, c, 3, n_heads, d_head).transpose(2, 0, 3, 1, 4)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= 1.0 / np.sqrt(d_head)
-    probs = _softmax(scores)
-    z = np.empty((b, c, n_heads, d_head))
+    probs = np.matmul(qh, kh.swapaxes(-1, -2), out=ws.per_row((i, "probs"), b, n_heads, c, c))
+    probs *= 1.0 / np.sqrt(d_head)
+    _softmax(probs, ws.per_row("softmax", b, n_heads, c, c))
+    z = ws.per_row((i, "z"), b, c, n_heads, d_head)
     np.matmul(probs, vh, out=z.transpose(0, 2, 1, 3))
-    z = z.reshape(n, d)[keep]
-    if store is not None:
-        store.append(dict(y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh, probs=probs))
-    del y1, ln1_cache, qkv, qh, kh, vh, scores, probs  # inference frees them before the tail
-    x_mid = _matmul(z, t[p + "attn.wo"])
+    z = z.reshape(n, d)
+    if keep is not ALL_ROWS:
+        z = np.take(z, keep, axis=0, out=buf("z_keep", k, d))
+    blk = None
+    if ws.retain:
+        blk = dict(y1=y1, ln1=ln1_cache, w_qkv=w_qkv, qh=qh, kh=kh, vh=vh, probs=probs)
+    del y1, ln1_cache, w_qkv, qkv, qh, kh, vh, probs  # inference frees them before the tail
+    residual = x_in
+    if keep is not ALL_ROWS:
+        residual = np.take(x_in, keep, axis=0, out=ws.per_token("residual", k, d))
+    x_mid = _matmul(z, t[p + "attn.wo"], ws.per_token("x_mid", k, d))
     x_mid += t[p + "attn.bo"]
-    x_mid += x_in[keep]
-    y2, ln2_cache = _layer_norm_forward(x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"])
-    f_act = _matmul(y2, t[p + "ffn.w1"])
+    x_mid += residual
+    y2, ln2_cache = _layer_norm_forward(
+        x_mid, t[p + "ln2.scale"], t[p + "ln2.offset"], buf("xhat2", k, d), buf("y2", k, d)
+    )
+    f_act = _matmul(y2, t[p + "ffn.w1"], buf("f_act", k, cfg.d_ff))
     f_act += t[p + "ffn.b1"]
     np.maximum(f_act, 0.0, out=f_act)
-    x = _matmul(f_act, t[p + "ffn.w2"])
+    x = _matmul(f_act, t[p + "ffn.w2"], ws.per_token(("out", i % 2), k, d))
     x += x_mid
     x += t[p + "ffn.b2"]
-    if store is not None:
-        store[-1].update(z=z, y2=y2, ln2=ln2_cache, f_act=f_act, keep=keep)
-    return x
+    if blk is not None:
+        blk.update(z=z, y2=y2, ln2=ln2_cache, f_act=f_act, keep=keep)
+    return x, blk
 
 
 def head_outputs(params: ModelParams, hidden: np.ndarray, cells: np.ndarray):
@@ -425,14 +547,19 @@ def head_outputs(params: ModelParams, hidden: np.ndarray, cells: np.ndarray):
     return out
 
 
-def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
-    """Shared by loss_value and loss_and_gradients; returns terms + head grads."""
+def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray, ws: _Workspace):
+    """Shared by loss_value and loss_and_gradients: the loss and d loss / d hidden.
+
+    The head gradients go into ``ws.grads``; a head without a supervised
+    cell is not written.
+    """
     w_numeric, w_categorical = batch.loss_weights
     numeric = np.array([spec.kind == ColumnKind.NUMERIC for spec in params.columns])
     kn = int(np.count_nonzero(batch.supervised[:, numeric]))
     kc = int(np.count_nonzero(batch.supervised)) - kn
-    d_hidden = np.zeros_like(hidden)
-    grads: dict[str, np.ndarray] = {}
+    d_hidden = ws.per_row("d_hidden", *hidden.shape)
+    d_hidden.fill(0.0)
+    grads = ws.grads
 
     mse_sum = ce_sum = 0.0
     for col, (rows, preds) in head_outputs(params, hidden, batch.supervised).items():
@@ -444,8 +571,8 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
             mse_sum += float(np.einsum("i,i->", err, err))
             d_pred = (2.0 * w_numeric / kn) * err
             d_hidden[rows, col] += d_pred[:, None] * w[None, :]
-            grads[name + ".w"] = _weight_grad(d_pred[:, None], h)[0]
-            grads[name + ".b"] = np.asarray(d_pred.sum())
+            _weight_grad(d_pred[:, None], h, grads[name + ".w"][None])
+            grads[name + ".b"][...] = d_pred.sum()
         else:
             logits = preds
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -456,8 +583,8 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
             probs[np.arange(len(rows)), targets] -= 1.0
             d_logits = (w_categorical / kc) * probs
             d_hidden[rows, col] += d_logits @ w
-            grads[name + ".w"] = _weight_grad(d_logits, h)
-            grads[name + ".b"] = d_logits.sum(axis=0)
+            _weight_grad(d_logits, h, grads[name + ".w"])
+            np.sum(d_logits, axis=0, out=grads[name + ".b"])
 
     mse = mse_sum / kn if kn else 0.0
     ce = ce_sum / kc if kc else 0.0
@@ -468,100 +595,138 @@ def _loss_terms(params: ModelParams, batch: Batch, hidden: np.ndarray):
         n_numeric=kn,
         n_categorical=kc,
     )
-    return breakdown, d_hidden, grads
+    return breakdown, d_hidden
 
 
 def loss_value(params: ModelParams, batch: Batch) -> LossBreakdown:
     """Forward pass plus supervised loss; no gradients."""
-    hidden, _ = _forward(params, batch, False, np.flatnonzero(batch.supervised))
-    breakdown, _, _ = _loss_terms(params, batch, hidden)
-    return breakdown
+    ws = _Workspace(params, False)
+    hidden, _ = _forward(params, batch, ws, np.flatnonzero(batch.supervised))
+    return _loss_terms(params, batch, hidden, ws)[0]
 
 
 def loss_and_gradients(
     params: ModelParams, batch: Batch
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Loss plus exact analytic gradients for every parameter tensor."""
-    cfg = params.config
-    t = params.tensors
     queries = np.flatnonzero(batch.supervised)
     hidden, cache = forward(params, batch, queries=queries)
-    breakdown, d_hidden, grads = _loss_terms(params, batch, hidden)
+    return _backward(params, batch, queries, hidden, cache), cache.ws.grads
+
+
+def _loss_and_gradients(params: ModelParams, batch: Batch, ws: _Workspace) -> LossBreakdown:
+    """``loss_and_gradients`` in ``ws``: the gradients are written into ``ws.grads``."""
+    queries = np.flatnonzero(batch.supervised)
+    hidden, cache = _forward(params, batch, ws, queries)
+    return _backward(params, batch, queries, hidden, cache)
+
+
+def _backward(params, batch, queries, hidden, cache) -> LossBreakdown:
+    """The loss of a retaining forward pass at ``queries``, and its gradients.
+
+    The gradients go into the pass's workspace, ``cache.ws.grads``.
+    """
+    cfg = params.config
+    t = params.tensors
+    ws = cache.ws
+    grads = ws.grads
+    ws.flat_grads.fill(0.0)  # a tensor the batch does not reach has gradient 0
+    breakdown, d_hidden = _loss_terms(params, batch, hidden, ws)
 
     d = cfg.d_model
     n_heads, d_head = cfg.n_heads, d // cfg.n_heads
     scale = 1.0 / np.sqrt(d_head)
     masked = batch.token_masked[cache.live]  # the blocks ran on these rows only
     b, c = masked.shape
+    n = b * c
     # the last stage ran at the query tokens only; d_hidden is 0 elsewhere
-    dx = d_hidden.reshape(-1, d)[queries]
+    dx = np.take(d_hidden.reshape(-1, d), queries, axis=0, out=ws.per_token("dx", queries.size, d))
     for i in reversed(range(cfg.n_blocks)):
         p = f"block{i}."
         blk = cache.blocks[i]
         keep = blk["keep"]
+        k = dx.shape[0]
         # feed-forward branch
-        grads[p + "ffn.w2"] = _weight_grad(blk["f_act"], dx)
-        grads[p + "ffn.b2"] = _column_sums(dx)
-        d_pre = dx @ t[p + "ffn.w2"].T
-        d_pre *= blk["f_act"] > 0.0  # ReLU derivative
-        grads[p + "ffn.w1"] = _weight_grad(blk["y2"], d_pre)
-        grads[p + "ffn.b1"] = _column_sums(d_pre)
-        d_ln2, grads[p + "ln2.scale"], grads[p + "ln2.offset"] = _layer_norm_backward(
-            d_pre @ t[p + "ffn.w1"].T, t[p + "ln2.scale"], blk["ln2"]
+        _weight_grad(blk["f_act"], dx, grads[p + "ffn.w2"], ws)
+        _column_sums(dx, grads[p + "ffn.b2"])
+        d_pre = np.matmul(dx, t[p + "ffn.w2"].T, out=ws.per_token("d_ff", k, cfg.d_ff))
+        # ReLU derivative
+        d_pre *= np.greater(blk["f_act"], 0.0, out=ws.per_token("relu", k, cfg.d_ff, dtype=bool))
+        _weight_grad(blk["y2"], d_pre, grads[p + "ffn.w1"], ws)
+        _column_sums(d_pre, grads[p + "ffn.b1"])
+        d_x_mid = _layer_norm_backward(
+            np.matmul(d_pre, t[p + "ffn.w1"].T, out=ws.per_token("d_ln2", k, d)),
+            t[p + "ln2.scale"], blk["ln2"], grads[p + "ln2.scale"], grads[p + "ln2.offset"],
+            ws.per_token("ln_prod", k, d),
         )
-        d_x_mid = d_ln2
         d_x_mid += dx
         # attention branch
-        grads[p + "attn.wo"] = _weight_grad(blk["z"], d_x_mid)
-        grads[p + "attn.bo"] = _column_sums(d_x_mid)
-        d_z = _scatter_rows(d_x_mid @ t[p + "attn.wo"].T, keep, b * c)
+        _weight_grad(blk["z"], d_x_mid, grads[p + "attn.wo"], ws)
+        _column_sums(d_x_mid, grads[p + "attn.bo"])
+        d_z = np.matmul(d_x_mid, t[p + "attn.wo"].T, out=ws.per_token("d_z_keep", k, d))
+        d_z = _scatter_rows(d_z, keep, n, ws, "d_z")
         d_z = d_z.reshape(b, c, n_heads, d_head).transpose(0, 2, 1, 3)
         probs = blk["probs"]
-        d_scores = d_z @ blk["vh"].swapaxes(-1, -2)
-        d_scores -= _row_sums(d_scores * probs)[..., None]
+        d_scores = np.matmul(
+            d_z, blk["vh"].swapaxes(-1, -2), out=ws.per_row("d_scores", b, n_heads, c, c)
+        )
+        weighted = np.multiply(d_scores, probs, out=ws.per_row("softmax", b, n_heads, c, c))
+        d_scores -= _row_sums(weighted)[..., None]
         d_scores *= probs
         # d_qkv is laid out like the forward product; the head-major
         # gradients are written straight into its transposed view.
-        d_qkv = np.empty((b, c, 3, n_heads, d_head))
+        d_qkv = ws.per_token("d_qkv", n, 3 * d).reshape(b, c, 3, n_heads, d_head)
         d_qh, d_kh, d_vh = d_qkv.transpose(2, 0, 3, 1, 4)
         np.matmul(d_scores, blk["kh"], out=d_qh)
         d_qh *= scale
         np.matmul(d_scores.swapaxes(-1, -2), blk["qh"], out=d_kh)
         d_kh *= scale
         np.matmul(probs.swapaxes(-1, -2), d_z, out=d_vh)
-        d_qkv = d_qkv.reshape(b * c, 3 * d)
-        (
-            grads[p + "attn.wq"], grads[p + "attn.wk"], grads[p + "attn.wv"]
-        ) = np.split(_weight_grad(blk["y1"], d_qkv), 3, axis=1)
-        (
-            grads[p + "attn.bq"], grads[p + "attn.bk"], grads[p + "attn.bv"]
-        ) = np.split(_column_sums(d_qkv), 3)
-        grads[p + "attn.bk"] = np.zeros(d)  # softmax cancels q . bk: exactly 0, not noise
-        d_ln1, grads[p + "ln1.scale"], grads[p + "ln1.offset"] = _layer_norm_backward(
-            d_qkv @ blk["w_qkv"].T, t[p + "ln1.scale"], blk["ln1"]
+        d_qkv = d_qkv.reshape(n, 3 * d)
+        d_w_qkv = _weight_grad(blk["y1"], d_qkv, ws.fixed("d_w_qkv", d, 3 * d), ws)
+        for j, name in enumerate(("wq", "wk", "wv")):
+            grads[p + f"attn.{name}"][...] = d_w_qkv[:, j * d : (j + 1) * d]
+        d_b_qkv = _column_sums(d_qkv)
+        # softmax cancels q . bk: its gradient stays exactly 0, not noise
+        grads[p + "attn.bq"][...] = d_b_qkv[:d]
+        grads[p + "attn.bv"][...] = d_b_qkv[2 * d :]
+        dx = _layer_norm_backward(
+            np.matmul(d_qkv, blk["w_qkv"].T, out=ws.per_token("d_ln1", n, d)),
+            t[p + "ln1.scale"], blk["ln1"], grads[p + "ln1.scale"], grads[p + "ln1.offset"],
+            ws.per_token("ln_prod", n, d),
         )
-        dx = d_ln1
-        dx[keep] += d_x_mid
+        if keep is ALL_ROWS:
+            dx += d_x_mid
+        else:
+            kept = np.take(dx, keep, axis=0, out=ws.per_token("residual", k, d))
+            kept += d_x_mid
+            dx[keep] = kept
     if cfg.n_blocks == 0:
-        dx = _scatter_rows(dx, cache.local, b * c)
+        dx = _scatter_rows(dx, cache.local, n, ws, "d_ln1")
 
     # input stage: the projection's gradient is 0 at token-masked cells
-    grads["mask_emb"] = dx[masked.reshape(-1)].sum(axis=0)
-    grads["col_emb"] = dx.reshape(b, c, d).sum(axis=0)
-    d_projected = dx * ~masked.reshape(b * c, 1)
-    grads["in_proj.w"] = _weight_grad(cache.emb, d_projected)
+    at_mask = np.flatnonzero(masked)
+    np.sum(
+        np.take(dx, at_mask, axis=0, out=ws.per_token("d_mask", at_mask.size, d)),
+        axis=0, out=grads["mask_emb"],
+    )
+    np.sum(dx.reshape(b, c, d), axis=0, out=grads["col_emb"])
+    d_projected = np.multiply(dx, ~masked.reshape(n, 1), out=dx)
+    _weight_grad(cache.emb, d_projected, grads["in_proj.w"], ws)
     if params.with_mlp:
-        d_emb = d_projected @ t["in_proj.w"].T
-        grads["mlp.w2"] = _weight_grad(cache.mlp_act, d_emb)
-        grads["mlp.b2"] = _column_sums(d_emb)
-        d_pre = d_emb @ t["mlp.w2"].T
-        d_pre *= 1.0 - cache.mlp_act.reshape(b * c, cfg.mlp_hidden) ** 2
-        grads["mlp.w1"] = _weight_grad(cache.inputs, d_pre)
-        grads["mlp.b1"] = _column_sums(d_pre)
-    for name in t:
-        if name not in grads:
-            grads[name] = np.zeros_like(t[name])
-    return breakdown, grads
+        d_emb = np.matmul(
+            d_projected, t["in_proj.w"].T, out=ws.per_token("d_emb", n, cfg.embed_dim)
+        )
+        _weight_grad(cache.mlp_act, d_emb, grads["mlp.w2"], ws)
+        _column_sums(d_emb, grads["mlp.b2"])
+        d_pre = np.matmul(d_emb, t["mlp.w2"].T, out=ws.per_token("d_mlp", n, cfg.mlp_hidden))
+        d_tanh = np.square(
+            cache.mlp_act.reshape(n, cfg.mlp_hidden), out=ws.per_token("d_tanh", n, cfg.mlp_hidden)
+        )
+        d_pre *= np.subtract(1.0, d_tanh, out=d_tanh)
+        _weight_grad(cache.inputs, d_pre, grads["mlp.w1"], ws)
+        _column_sums(d_pre, grads["mlp.b1"])
+    return breakdown
 
 
 def predict_masked(params: ModelParams, batch: Batch):
@@ -572,5 +737,6 @@ def predict_masked(params: ModelParams, batch: Batch):
     """
     scored = np.array([spec.kind != ColumnKind.TEXT for spec in params.columns])
     cells = batch.token_masked & scored
-    hidden, _ = _forward(params, batch, False, np.flatnonzero(cells))
+    ws = _Workspace(params, False)
+    hidden, _ = _forward(params, batch, ws, np.flatnonzero(cells))
     return head_outputs(params, hidden, cells)

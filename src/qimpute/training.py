@@ -33,8 +33,10 @@ from .model import (
     Batch,
     ModelConfig,
     ModelParams,
+    _flat_views,
+    _loss_and_gradients,
+    _Workspace,
     init_params,
-    loss_and_gradients,
     predict_masked,
 )
 from .rng import SHUFFLE, SUPERVISION, substream
@@ -55,6 +57,7 @@ _IMPUTE_BLOCK_ROWS = 64  # rows per impute_table block; bounds the model's worki
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_ADAM_CHUNK = 32768  # elements per Adam pass: its six 256 KB operands stay in L2
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,17 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        weights = {
+            "numeric_loss_weight": self.numeric_loss_weight,
+            "categorical_loss_weight": self.categorical_loss_weight,
+        }
+        for name, weight in weights.items():
+            if weight < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {weight}")
+        if not any(weights.values()):
+            raise ConfigError(
+                "numeric_loss_weight and categorical_loss_weight are both 0: nothing would train"
+            )
 
 
 @dataclass
@@ -105,19 +119,39 @@ def adam_step(
     operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
     w = w - lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order (b1, b2, eps:
     the ``ADAM_*`` constants), so the trajectory is bitwise that of the
-    out-of-place formula. ``grads`` is only read.
+    out-of-place formula. ``grads`` is only read. ``train`` runs the same
+    operations on its flat buffers without the copies made here.
     """
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, tensor in params.tensors.items():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    names = list(params.tensors)
+    w, g, m, v = (
+        np.concatenate([part[name].ravel() for name in names])
+        for part in (params.tensors, grads, state.m, state.v)
+    )
+    _adam_update(w, g, m, v, state.t, config.learning_rate, np.empty((2, _ADAM_CHUNK)))
+    for part, flat in ((params.tensors, w), (state.m, m), (state.v, v)):
+        for name, updated in _flat_views(flat, params.tensors).items():
+            part[name][...] = updated
+
+
+def _adam_update(w, g, m, v, step, learning_rate, scratch) -> None:
+    """``adam_step``'s operations on flat buffers, ``_ADAM_CHUNK`` elements at a time.
+
+    ``step`` counts from 1; ``scratch`` is (2, ``_ADAM_CHUNK``).
+    """
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for start in range(0, w.size, _ADAM_CHUNK):
+        chunk = slice(start, start + _ADAM_CHUNK)
+        wc, gc, mc, vc = w[chunk], g[chunk], m[chunk], v[chunk]
+        t1, t2 = scratch[0, : wc.size], scratch[1, : wc.size]
+        mc *= ADAM_BETA1
+        mc += np.multiply(1.0 - ADAM_BETA1, gc, out=t1)
+        vc *= ADAM_BETA2
+        vc += np.multiply(1.0 - ADAM_BETA2, np.multiply(gc, gc, out=t1), out=t1)
+        np.multiply(learning_rate, np.divide(mc, bc1, out=t1), out=t1)
+        np.add(np.sqrt(np.divide(vc, bc2, out=t2), out=t2), ADAM_EPSILON, out=t2)
+        wc -= np.divide(t1, t2, out=t1)
 
 
 @dataclass
@@ -193,12 +227,20 @@ def train(
     params = init_params(
         schema, stats, model_config, seed=config.seed, mlp_d_in=embedder.mlp_d_in
     )
-    adam = AdamState.for_params(params)
+    # The parameters, their gradients and Adam's moments are one flat
+    # buffer each, and every large step array lives in the workspace, so a
+    # step allocates nothing large.
+    weights = np.concatenate([tensor.ravel() for tensor in params.tensors.values()])
+    params.tensors = _flat_views(weights, params.tensors)
+    ws = _Workspace(params, True, config.batch_size)
+    m, v = np.zeros(weights.size), np.zeros(weights.size)
+    adam_scratch = np.empty((2, _ADAM_CHUNK))
     rng_shuffle = substream(config.seed, SHUFFLE)
     rng_sup = substream(config.seed, SUPERVISION)
 
     loss_history: list[float] = []
     empty_batches = 0
+    step = 0
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n_rows)
         batch_losses: list[float] = []
@@ -217,14 +259,15 @@ def train(
                 empty_batches += 1
                 if empty_batches == 1:
                     logger.warning("batch with no supervision targets; loss defined as 0")
-            breakdown, grads = loss_and_gradients(params, batch)
+            breakdown = _loss_and_gradients(params, batch, ws)
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(
                     f"loss became non-finite at epoch {epoch + 1}, batch "
                     f"{start // config.batch_size + 1}; try a smaller learning rate "
                     f"(current: {config.learning_rate})"
                 )
-            adam_step(params, grads, adam, config)
+            step += 1
+            _adam_update(weights, ws.flat_grads, m, v, step, config.learning_rate, adam_scratch)
             batch_losses.append(breakdown.total)
         loss_history.append(float(np.mean(batch_losses)))
     return TrainResult(params=params, loss_history=loss_history, empty_batches=empty_batches)

@@ -89,6 +89,29 @@ def test_prepare_split_deterministic():
     assert a.mask_hash == b.mask_hash
 
 
+def test_prepare_split_mask_hash_is_the_working_tables_missing_mask(tmp_path):
+    # The hash comes from the frame's observed cells, not a second
+    # missing_mask pass; both splits must give the hash that pass gave.
+    schema = DatasetSchema(
+        (ColumnSpec("x", ColumnKind.NUMERIC), ColumnSpec("g", ColumnKind.CATEGORICAL)),
+        name="hashset",
+    )
+    rng = np.random.default_rng(4)
+    rows = [[float(rng.uniform()), str(rng.choice(["a", "b"]))] for _ in range(30)]
+    rows[3][0] = rows[7][1] = None  # missing in the file itself
+    csv_path, schema_path = tmp_path / "h.csv", tmp_path / "h.schema"
+    save_csv(Table(schema, rows), csv_path)
+    save_schema(schema, schema_path)
+    csv_config = fast_config(
+        dataset_kind="csv", csv_path=str(csv_path), schema_path=str(schema_path)
+    )
+    for config in (fast_config(), csv_config):
+        split = prepare_split(config, seed=2)
+        expected = missing_mask(split.working)
+        assert expected.matrix.any() and not expected.matrix.all()
+        assert split.mask_hash == expected.content_hash()
+
+
 def test_prepare_split_includes_mnar_in_eval_mask():
     config = fast_config()
     split = prepare_split(config, seed=0)

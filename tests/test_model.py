@@ -645,6 +645,47 @@ def test_loss_value_matches_all_token_forward(n_blocks, n_rows, supervision, wit
     assert loss_and_gradients(params, batch)[0].total == got.total
 
 
+def random_batch(rng, n_rows, supervised, width):
+    """``n_rows`` random rows whose supervised cells are the (row, column) pairs
+    ``supervised``; about a fifth of the other cells are missing."""
+    shape = (n_rows, len(SCHEMA.columns))
+    sup = cells(shape, *supervised)
+    return Batch(
+        token_masked=sup | (rng.random(shape) < 0.2),
+        features=rng.normal(size=shape + (width,)),
+        supervised=sup,
+        numeric_targets=rng.random(shape),
+        categorical_targets=rng.integers(0, 2, shape),
+    )
+
+
+@pytest.mark.parametrize("mlp_d_in", [0, 6])
+def test_a_reused_workspace_gives_each_step_the_bits_of_a_fresh_one(mlp_d_in):
+    # train runs all its steps in one workspace. Full batches, a short one,
+    # one with a single query token (_matmul's one-row path) and one with
+    # no supervised cell (no live row) must each get the loss and gradients
+    # of a fresh workspace, whatever ran in it before.
+    rng = np.random.default_rng(41)
+    params = tiny_params(seed=41, mlp_d_in=mlp_d_in, config=TINY2)
+    width = mlp_d_in or TINY2.embed_dim
+    full = [(r, c) for r in range(8) for c in range(4) if (r + c) % 3 == 0]
+    batches = [
+        random_batch(rng, 8, full, width),
+        random_batch(rng, 3, [(0, 1), (2, 2)], width),
+        random_batch(rng, 8, [(5, 3)], width),
+        random_batch(rng, 8, [], width),
+        random_batch(rng, 8, full[::2], width),
+    ]
+    ws = model_module._Workspace(params, True, 8)
+    for batch in batches + batches[::-1]:
+        loss = model_module._loss_and_gradients(params, batch, ws)
+        fresh_loss, fresh = loss_and_gradients(params, batch)
+        assert loss == fresh_loss
+        assert ws.grads.keys() == fresh.keys()
+        for name, grad in fresh.items():
+            assert ws.grads[name].tobytes() == grad.tobytes(), name
+
+
 def test_loss_and_gradients_calls_forward_once_through_the_module(monkeypatch):
     # perfbench times training forwards by wrapping qimpute.model.forward;
     # a step that bypassed the module global would hide its forward time.

@@ -19,8 +19,10 @@ from qimpute.baselines import (
 )
 from qimpute.datasets import make_toy_table, synth_healthcare_generate
 from qimpute.encoding import CellEmbedder, EmbedderVariant, TextEmbeddings, fit_preprocessor
+from qimpute.config import experiment_config_from_mapping, load_kv_config
 from qimpute.errors import (
     CheckpointError,
+    ConfigError,
     ContractViolation,
     FitError,
     TrainingDiverged,
@@ -228,13 +230,13 @@ def test_masking_hygiene_missing_cells_never_supervised(monkeypatch):
     ) | mask.matrix
 
     captured = []
-    original = training_module.loss_and_gradients
+    original = training_module._loss_and_gradients
 
-    def recording(params, batch):
+    def recording(params, batch, ws):
         captured.append(batch)
-        return original(params, batch)
+        return original(params, batch, ws)
 
-    monkeypatch.setattr(training_module, "loss_and_gradients", recording)
+    monkeypatch.setattr(training_module, "_loss_and_gradients", recording)
     config = TrainConfig(epochs=2, batch_size=16, seed=7, learning_rate=1e-3)
     train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
 
@@ -278,9 +280,9 @@ def test_blocks_see_only_rows_with_a_query(monkeypatch):
     steps = []  # (live rows, batch rows, block calls)
 
     def expecting(step, live_rows):
-        def wrapped(params, batch):
+        def wrapped(params, batch, *ws):
             steps.append((live_rows(batch), batch.n_rows, []))
-            return step(params, batch)
+            return step(params, batch, *ws)
 
         return wrapped
 
@@ -299,8 +301,8 @@ def test_blocks_see_only_rows_with_a_query(monkeypatch):
     monkeypatch.setattr(model_module, "_block_forward", guard)
     monkeypatch.setattr(
         training_module,
-        "loss_and_gradients",
-        expecting(training_module.loss_and_gradients, supervised_rows),
+        "_loss_and_gradients",
+        expecting(training_module._loss_and_gradients, supervised_rows),
     )
     monkeypatch.setattr(
         training_module,
@@ -340,13 +342,10 @@ def test_empty_batches_are_counted_warned_once_and_leave_params(caplog):
 def test_training_diverged_error(monkeypatch):
     table, mask, stats, embedder = toy_setup(n_rows=30)
 
-    def exploding(params, batch):
-        return (
-            LossBreakdown(float("nan"), float("nan"), 0.0, 1, 0),
-            params.zero_like_tensors(),
-        )
+    def exploding(params, batch, ws):
+        return LossBreakdown(float("nan"), float("nan"), 0.0, 1, 0)
 
-    monkeypatch.setattr(training_module, "loss_and_gradients", exploding)
+    monkeypatch.setattr(training_module, "_loss_and_gradients", exploding)
     config = TrainConfig(epochs=1, batch_size=16, seed=1)
     with pytest.raises(TrainingDiverged, match="learning rate"):
         train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
@@ -362,6 +361,31 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((-1.0, 1.0), "numeric_loss_weight must be >= 0"),
+        ((1.0, -0.5), "categorical_loss_weight must be >= 0"),
+        ((0.0, 0.0), "both 0"),
+    ],
+)
+def test_train_config_rejects_negative_or_all_zero_loss_weights(tmp_path, weights, message):
+    # A negative weight trains towards a larger error, two zero weights
+    # return the initial weights; neither may pass silently.
+    numeric, categorical = weights
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(numeric_loss_weight=numeric, categorical_loss_weight=categorical)
+    path = tmp_path / "weights.cfg"
+    path.write_text(
+        f"train.numeric_loss_weight = {numeric}\ntrain.categorical_loss_weight = {categorical}\n"
+    )
+    with pytest.raises(ConfigError, match=message):
+        experiment_config_from_mapping(load_kv_config(path))
+    # one zero weight trains the other kind alone
+    TrainConfig(numeric_loss_weight=0.0)
+    TrainConfig(categorical_loss_weight=0.0)
+
+
+@pytest.mark.parametrize(
     "field",
     ["learning_rate", "mask_rate", "numeric_loss_weight", "categorical_loss_weight"],
 )
@@ -369,6 +393,83 @@ def test_train_config_validation():
 def test_train_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         TrainConfig(**{field: bad})
+
+
+# ---------------------------------------------------------------------------
+# the training step's workspace
+# ---------------------------------------------------------------------------
+
+
+def around_each_step(monkeypatch, before):
+    """Make ``train`` call ``before(batch)`` at the start of each private step."""
+    original = training_module._loss_and_gradients
+
+    def step(params, batch, ws):
+        before(batch)
+        return original(params, batch, ws)
+
+    monkeypatch.setattr(training_module, "_loss_and_gradients", step)
+
+
+@pytest.mark.parametrize("variant", list(EmbedderVariant))
+def test_a_warm_training_step_allocates_nothing_large(monkeypatch, variant):
+    # Every large array of a step lives in the workspace or in the flat
+    # buffers that train allocates once. Between the starts of two warm
+    # steps (batch, forward, backward, Adam) the traced peak rises by
+    # little; at 32 rows of the 20-column table it rose by 17.5 MB when each
+    # step allocated its arrays afresh.
+    data = synth_healthcare_generate(96, seed=3)
+    mask = inject_mcar(data.table, 0.2, seed=3)
+    stats = fit_preprocessor(apply_mask(data.table, mask), data.schema)
+    embedder = CellEmbedder(data.schema, stats, variant, seed=3, n_qubits=8)
+    rises, current = [], []
+
+    def measure(batch):
+        now, peak = tracemalloc.get_traced_memory()
+        if current:
+            rises.append(peak - current[0])
+        tracemalloc.reset_peak()
+        current[:] = [now]
+
+    around_each_step(monkeypatch, measure)
+    config = TrainConfig(epochs=2, batch_size=32, seed=3, learning_rate=1e-3)
+    tracemalloc.start()
+    try:
+        train(data.table, mask, data.schema, stats, embedder, ModelConfig(), config)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 5
+    warm = rises[1:]  # the first step allocates the workspace
+    assert max(warm) < 256 * 2**10, [f"{rise / 2**10:.0f} KB" for rise in warm]
+
+
+@pytest.mark.parametrize("variant", list(EmbedderVariant))
+def test_train_carries_nothing_from_one_call_to_the_next(monkeypatch, variant):
+    # Table A, then table B of another shape, then A again: the second A
+    # must get A's bits. A's run has a short last batch (37 = 2 * 16 + 5
+    # rows), a batch with one query token (_matmul's one-row path) and one
+    # with no supervised cell (no live row).
+    supervised = []
+    around_each_step(monkeypatch, lambda batch: supervised.append(int(batch.supervised.sum())))
+    config = TrainConfig(epochs=2, batch_size=16, seed=0, learning_rate=1e-3, mask_rate=0.02)
+    a = toy_setup(n_rows=37, variant=variant)
+    data = synth_healthcare_generate(23, seed=4)
+    b_stats = fit_preprocessor(data.table, data.schema)
+    b = (
+        data.table, inject_mcar(data.table, 0.2, seed=4), b_stats,
+        CellEmbedder(data.schema, b_stats, variant, seed=4, n_qubits=4, n_layers=2),
+    )
+
+    def run(table, mask, stats, embedder):
+        return train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
+
+    first = run(*a)
+    assert 0 in supervised and 1 in supervised and first.empty_batches > 0
+    run(*b)
+    again = run(*a)
+    assert again.loss_history == first.loss_history
+    for name, tensor in first.params.tensors.items():
+        assert again.params.tensors[name].tobytes() == tensor.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
