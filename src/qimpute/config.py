@@ -50,16 +50,26 @@ def _parse_float(key, value):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _parse_list(value):
+def _parse_str(key, value):
+    return value
+
+
+def _parse_list(key, value):
     return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _parse_int_list(key, value):
+    return tuple(_parse_int(key, part) for part in _parse_list(key, value))
 
 
 # key -> (target, field, parser); targets name sub-configs of ExperimentConfig
 _KEYS = {
-    "dataset.kind": ("root", "dataset_kind", str),
+    "methods": ("root", "methods", _parse_list),
+    "seeds": ("root", "seeds", _parse_int_list),
+    "dataset.kind": ("root", "dataset_kind", _parse_str),
     "dataset.rows": ("root", "n_rows", _parse_int),
-    "dataset.csv": ("root", "csv_path", str),
-    "dataset.schema": ("root", "schema_path", str),
+    "dataset.csv": ("root", "csv_path", _parse_str),
+    "dataset.schema": ("root", "schema_path", _parse_str),
     "mask.rate": ("root", "missing_rate", _parse_float),
     "threads": ("root", "threads", _parse_int),
     "text.dim": ("root", "text_dim", _parse_int),
@@ -86,23 +96,16 @@ _KEYS = {
 def experiment_config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed keys; unknown keys are errors."""
     buckets: dict[str, dict] = {name: {} for name in ("root", "model", "train", "baseline")}
-    root = buckets["root"]
     for key, value in mapping.items():
-        if key == "methods":
-            root["methods"] = _parse_list(value)
-            continue
-        if key == "seeds":
-            root["seeds"] = tuple(_parse_int("seeds", v) for v in _parse_list(value))
-            continue
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         target, field_name, parser = _KEYS[key]
-        buckets[target][field_name] = parser(key, value) if parser is not str else value
+        buckets[target][field_name] = parser(key, value)
 
     try:
         return ExperimentConfig(
             model=ModelConfig(**buckets["model"]), train=TrainConfig(**buckets["train"]),
-            baseline=BaselineConfig(**buckets["baseline"]), **root,
+            baseline=BaselineConfig(**buckets["baseline"]), **buckets["root"],
         )
     except TypeError as exc:
         raise ConfigError(str(exc)) from None

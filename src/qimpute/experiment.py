@@ -73,8 +73,12 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        for name in ("methods", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(values)}")
         if not 0.0 < self.missing_rate < 1.0:
             raise ConfigError(f"missing_rate must be in (0, 1), got {self.missing_rate}")
         if self.dataset_kind not in ("synthetic", "csv"):

@@ -25,8 +25,9 @@ a batch's tokens, in fixed slices.
 Everything is plain numpy in float64. ``loss_and_gradients`` returns exact
 analytic gradients for every tensor (including the optional trainable MLP
 embedder), which the test suite checks against central finite differences.
-The passes write their large arrays into a ``_Workspace``; ``train`` keeps
-one across its steps, so a warm step allocates nothing large.
+The passes write their large arrays into a ``_Workspace``, an optional last
+argument of ``forward`` and ``loss_and_gradients``; ``train`` keeps one
+across its steps, so a warm step allocates nothing large.
 """
 
 from __future__ import annotations
@@ -93,6 +94,20 @@ class ModelParams:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
+class _FlatViews(dict):
+    """Tensors by name: views of ``flat``, one per tensor of ``like`` with its shape, in order.
+
+    ``adam_step`` updates such a set through ``flat`` in one pass.
+    """
+
+    def __init__(self, flat: np.ndarray, like: dict[str, np.ndarray]):
+        super().__init__()
+        self.flat, start = flat, 0
+        for name, tensor in like.items():
+            self[name] = flat[start : start + tensor.size].reshape(tensor.shape)
+            start += tensor.size
+
+
 def init_params(
     schema: DatasetSchema,
     stats: PreprocessStats,
@@ -100,7 +115,7 @@ def init_params(
     seed: int,
     mlp_d_in: int = 0,
 ) -> ModelParams:
-    """Seeded init: weights uniform +-1/sqrt(fan_in), biases and mask vector zero."""
+    """Seeded init (weights uniform +-1/sqrt(fan_in), biases and mask zero), in one flat buffer."""
     rng = substream(seed, INIT)
     d = config.d_model
 
@@ -139,7 +154,8 @@ def init_params(
         tensors["mlp.b1"] = np.zeros(config.mlp_hidden)
         tensors["mlp.w2"] = uniform((config.mlp_hidden, config.embed_dim), config.mlp_hidden)
         tensors["mlp.b2"] = np.zeros(config.embed_dim)
-    return ModelParams(config, schema.columns, tensors)
+    flat = np.concatenate([tensor.ravel() for tensor in tensors.values()])
+    return ModelParams(config, schema.columns, _FlatViews(flat, tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +212,6 @@ class _Cache:
         self.blocks = []
 
 
-def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views of ``flat``, one per tensor of ``like`` with its shape, in order."""
-    views, start = {}, 0
-    for name, tensor in like.items():
-        views[name] = flat[start : start + tensor.size].reshape(tensor.shape)
-        start += tensor.size
-    return views
-
-
 class _Workspace:
     """Where a forward and backward pass put their large arrays.
 
@@ -216,8 +223,8 @@ class _Workspace:
     and the steps of ``train`` allocate nothing large after the first.
     Without ``rows``, for a single pass, every array is fresh and is freed
     with its last reference. The blocks keep their intermediates for the
-    backward pass if ``retain``. ``grads`` holds one view per tensor, in
-    ``init_params`` order, of the one gradient buffer ``flat_grads``.
+    backward pass if ``retain``. ``grads`` holds the gradients as views of
+    one buffer, ``grads.flat``, in ``init_params`` order.
     """
 
     def __init__(self, params: ModelParams, retain: bool, rows: int | None = None):
@@ -227,12 +234,8 @@ class _Workspace:
         self._buffers: dict = {}
 
     @cached_property
-    def flat_grads(self) -> np.ndarray:
-        return np.empty(sum(t.size for t in self._tensors.values()))
-
-    @cached_property
     def grads(self) -> dict[str, np.ndarray]:
-        return _flat_views(self.flat_grads, self._tensors)
+        return _FlatViews(np.empty(sum(t.size for t in self._tensors.values())), self._tensors)
 
     def per_row(self, key, *shape, dtype=float) -> np.ndarray:
         return self._take(key, "rows", shape, dtype)
@@ -384,14 +387,17 @@ def _mlp_embed(tensors, xc, act, emb):
     return emb, act
 
 
-def forward(params: ModelParams, batch: Batch, queries=ALL_ROWS) -> tuple[np.ndarray, _Cache]:
+def forward(
+    params: ModelParams, batch: Batch, queries=ALL_ROWS, ws=None
+) -> tuple[np.ndarray, _Cache]:
     """Run the token pipeline; returns final hidden states (B, C, d_model).
 
     With ``queries``, distinct flat token indices row * C + column, the
     blocks run only on the rows holding a query, the last block's tail only
     at the queries themselves, and every other token of the result is 0.
+    It runs in the retaining workspace ``ws``, or in a fresh one.
     """
-    return _forward(params, batch, _Workspace(params, True), queries)
+    return _forward(params, batch, _Workspace(params, True) if ws is None else ws, queries)
 
 
 def _scatter_rows(x, keep, n, ws, key):
@@ -606,31 +612,20 @@ def loss_value(params: ModelParams, batch: Batch) -> LossBreakdown:
 
 
 def loss_and_gradients(
-    params: ModelParams, batch: Batch
+    params: ModelParams, batch: Batch, ws: _Workspace | None = None
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Loss plus exact analytic gradients for every parameter tensor."""
-    queries = np.flatnonzero(batch.supervised)
-    hidden, cache = forward(params, batch, queries=queries)
-    return _backward(params, batch, queries, hidden, cache), cache.ws.grads
+    """Loss plus exact analytic gradients for every parameter tensor.
 
-
-def _loss_and_gradients(params: ModelParams, batch: Batch, ws: _Workspace) -> LossBreakdown:
-    """``loss_and_gradients`` in ``ws``: the gradients are written into ``ws.grads``."""
-    queries = np.flatnonzero(batch.supervised)
-    hidden, cache = _forward(params, batch, ws, queries)
-    return _backward(params, batch, queries, hidden, cache)
-
-
-def _backward(params, batch, queries, hidden, cache) -> LossBreakdown:
-    """The loss of a retaining forward pass at ``queries``, and its gradients.
-
-    The gradients go into the pass's workspace, ``cache.ws.grads``.
+    Both passes run in the retaining workspace ``ws``, or in a fresh one;
+    the gradients are its ``grads``, which its next pass overwrites.
     """
     cfg = params.config
     t = params.tensors
+    queries = np.flatnonzero(batch.supervised)
+    hidden, cache = forward(params, batch, queries, ws)
     ws = cache.ws
     grads = ws.grads
-    ws.flat_grads.fill(0.0)  # a tensor the batch does not reach has gradient 0
+    grads.flat.fill(0.0)  # a tensor the batch does not reach has gradient 0
     breakdown, d_hidden = _loss_terms(params, batch, hidden, ws)
 
     d = cfg.d_model
@@ -726,7 +721,7 @@ def _backward(params, batch, queries, hidden, cache) -> LossBreakdown:
         d_pre *= np.subtract(1.0, d_tanh, out=d_tanh)
         _weight_grad(cache.inputs, d_pre, grads["mlp.w1"], ws)
         _column_sums(d_pre, grads["mlp.b1"])
-    return breakdown
+    return breakdown, grads
 
 
 def predict_masked(params: ModelParams, batch: Batch):

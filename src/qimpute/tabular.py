@@ -83,8 +83,8 @@ class Table:
         for r, row in enumerate(self.rows):
             if len(row) != n_cols:
                 raise ValueError(f"row {r} has {len(row)} cells, schema has {n_cols} columns")
-        for j in self.schema.indices_of(ColumnKind.NUMERIC):
-            _check_numeric(self.schema.columns[j].name, enumerate(row[j] for row in self.rows))
+        for j, spec in enumerate(self.schema.columns):
+            _check_cells(spec, enumerate(row[j] for row in self.rows))
 
     @property
     def n_rows(self) -> int:
@@ -107,14 +107,13 @@ class Table:
 
     def filled(self, cells) -> "Table":
         """A new table with each ``(column, rows, values)`` of ``cells`` written
-        in and validated: a numeric value that is not a finite float raises."""
-        numeric, out = self.schema.indices_of(ColumnKind.NUMERIC), self.copy()
+        in and validated like the cells of a new table."""
+        out = self.copy()
         for j, at, values in cells:
             at = np.asarray(at).tolist()
             for r, v in zip(at, values, strict=True):
                 out.rows[r][j] = v
-            if j in numeric:
-                _check_numeric(self.schema.columns[j].name, ((r, out.rows[r][j]) for r in at))
+            _check_cells(self.schema.columns[j], ((r, out.rows[r][j]) for r in at))
         return out
 
     def content_hash(self) -> str:
@@ -131,12 +130,16 @@ class Table:
         return h.hexdigest()
 
 
-def _check_numeric(name: str, cells) -> None:
-    """Raise unless each ``(row, value)`` of column ``name`` is missing or a finite float."""
+def _check_cells(spec: ColumnSpec, cells) -> None:
+    """Raise unless each ``(row, value)`` of column ``spec`` is missing or of its kind:
+    a finite float in a numeric column, a string in a categorical or text one."""
+    numeric = spec.kind == ColumnKind.NUMERIC
     for r, v in cells:
-        if v is not None and not (isinstance(v, float) and math.isfinite(v)):
+        valid = isinstance(v, float) and math.isfinite(v) if numeric else isinstance(v, str)
+        if v is not None and not valid:
+            expected = "a finite float" if numeric else "a string"
             raise ValueError(
-                f"numeric cell at row {r}, column {name!r} is not a finite float: {v!r}"
+                f"{spec.kind.value} cell at row {r}, column {spec.name!r} is not {expected}: {v!r}"
             )
 
 

@@ -6,6 +6,9 @@ vector, and asks the heads to reconstruct them. Genuinely missing cells
 are always mask tokens and never contribute to the loss. Numeric targets
 live in min-max normalized [0, 1] space.
 
+A step calls ``loss_and_gradients`` and ``adam_step`` through this
+module's attributes, in flat buffers and a workspace that ``train`` keeps.
+
 Everything is reproducible bitwise from the config seed: weight init,
 epoch shuffling and supervision draws use separate named substreams.
 """
@@ -17,6 +20,7 @@ import logging
 import math
 import zipfile
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +37,10 @@ from .model import (
     Batch,
     ModelConfig,
     ModelParams,
-    _flat_views,
-    _loss_and_gradients,
+    _FlatViews,
     _Workspace,
     init_params,
+    loss_and_gradients,
     predict_masked,
 )
 from .rng import SHUFFLE, SUPERVISION, substream
@@ -98,13 +102,28 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments; ``for_params`` keeps each moment in one flat buffer."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(m=params.zero_like_tensors(), v=params.zero_like_tensors())
+        n = params.n_parameters
+        return cls(*(_FlatViews(np.zeros(n), params.tensors) for _ in range(2)))
+
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        return np.empty((2, _ADAM_CHUNK))
+
+
+def _flat_of(tensors: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    """The tensors of ``names`` as one 1-D buffer: the one they are views of, or a copy."""
+    flat = getattr(tensors, "flat", None)
+    if flat is None or list(tensors) != names or any(t.base is not flat for t in tensors.values()):
+        return np.concatenate([tensors[name].ravel() for name in names])
+    return flat
 
 
 def adam_step(
@@ -119,39 +138,32 @@ def adam_step(
     operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
     w = w - lr * (m/bc1) / (sqrt(v/bc2) + eps) in that order (b1, b2, eps:
     the ``ADAM_*`` constants), so the trajectory is bitwise that of the
-    out-of-place formula. ``grads`` is only read. ``train`` runs the same
-    operations on its flat buffers without the copies made here.
+    out-of-place formula. ``grads`` is only read. It runs over flat buffers,
+    ``_ADAM_CHUNK`` elements at a time: a dict that is not a ``_FlatViews``
+    in ``params.tensors`` order is gathered into a copy, which is written
+    back unless it holds the gradients.
     """
     state.t += 1
     names = list(params.tensors)
-    w, g, m, v = (
-        np.concatenate([part[name].ravel() for name in names])
-        for part in (params.tensors, grads, state.m, state.v)
-    )
-    _adam_update(w, g, m, v, state.t, config.learning_rate, np.empty((2, _ADAM_CHUNK)))
-    for part, flat in ((params.tensors, w), (state.m, m), (state.v, v)):
-        for name, updated in _flat_views(flat, params.tensors).items():
-            part[name][...] = updated
-
-
-def _adam_update(w, g, m, v, step, learning_rate, scratch) -> None:
-    """``adam_step``'s operations on flat buffers, ``_ADAM_CHUNK`` elements at a time.
-
-    ``step`` counts from 1; ``scratch`` is (2, ``_ADAM_CHUNK``).
-    """
-    bc1 = 1.0 - ADAM_BETA1**step
-    bc2 = 1.0 - ADAM_BETA2**step
+    parts = (params.tensors, grads, state.m, state.v)
+    w, g, m, v = (_flat_of(part, names) for part in parts)
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for start in range(0, w.size, _ADAM_CHUNK):
         chunk = slice(start, start + _ADAM_CHUNK)
         wc, gc, mc, vc = w[chunk], g[chunk], m[chunk], v[chunk]
-        t1, t2 = scratch[0, : wc.size], scratch[1, : wc.size]
+        t1, t2 = state._scratch[0, : wc.size], state._scratch[1, : wc.size]
         mc *= ADAM_BETA1
         mc += np.multiply(1.0 - ADAM_BETA1, gc, out=t1)
         vc *= ADAM_BETA2
         vc += np.multiply(1.0 - ADAM_BETA2, np.multiply(gc, gc, out=t1), out=t1)
-        np.multiply(learning_rate, np.divide(mc, bc1, out=t1), out=t1)
+        np.multiply(config.learning_rate, np.divide(mc, bc1, out=t1), out=t1)
         np.add(np.sqrt(np.divide(vc, bc2, out=t2), out=t2), ADAM_EPSILON, out=t2)
         wc -= np.divide(t1, t2, out=t1)
+    for part, flat in ((params.tensors, w), (state.m, m), (state.v, v)):
+        if flat is not getattr(part, "flat", None):
+            for name, updated in _FlatViews(flat, params.tensors).items():
+                part[name][...] = updated
 
 
 @dataclass
@@ -227,20 +239,13 @@ def train(
     params = init_params(
         schema, stats, model_config, seed=config.seed, mlp_d_in=embedder.mlp_d_in
     )
-    # The parameters, their gradients and Adam's moments are one flat
-    # buffer each, and every large step array lives in the workspace, so a
-    # step allocates nothing large.
-    weights = np.concatenate([tensor.ravel() for tensor in params.tensors.values()])
-    params.tensors = _flat_views(weights, params.tensors)
-    ws = _Workspace(params, True, config.batch_size)
-    m, v = np.zeros(weights.size), np.zeros(weights.size)
-    adam_scratch = np.empty((2, _ADAM_CHUNK))
+    ws = _Workspace(params, True, min(config.batch_size, n_rows))
+    adam = AdamState.for_params(params)
     rng_shuffle = substream(config.seed, SHUFFLE)
     rng_sup = substream(config.seed, SUPERVISION)
 
     loss_history: list[float] = []
     empty_batches = 0
-    step = 0
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n_rows)
         batch_losses: list[float] = []
@@ -259,15 +264,14 @@ def train(
                 empty_batches += 1
                 if empty_batches == 1:
                     logger.warning("batch with no supervision targets; loss defined as 0")
-            breakdown = _loss_and_gradients(params, batch, ws)
+            breakdown, grads = loss_and_gradients(params, batch, ws)
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(
                     f"loss became non-finite at epoch {epoch + 1}, batch "
                     f"{start // config.batch_size + 1}; try a smaller learning rate "
                     f"(current: {config.learning_rate})"
                 )
-            step += 1
-            _adam_update(weights, ws.flat_grads, m, v, step, config.learning_rate, adam_scratch)
+            adam_step(params, grads, adam, config)
             batch_losses.append(breakdown.total)
         loss_history.append(float(np.mean(batch_losses)))
     return TrainResult(params=params, loss_history=loss_history, empty_batches=empty_batches)

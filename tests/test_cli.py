@@ -67,6 +67,27 @@ def test_config_builds_experiment():
     assert config.baseline.k == 3
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("methods =", "methods must be non-empty"),
+        ("methods = mean_mode, mean_mode", "methods must not repeat"),
+        ("seeds =", "seeds must be non-empty"),
+        ("seeds = 0, 0", "seeds must not repeat"),
+        ("seeds = 0, x", "seeds: expected an integer"),
+    ],
+)
+def test_config_list_keys_reject_empty_and_repeated_entries(tmp_path, capsys, line, message):
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=message):
+        experiment_config_from_mapping(load_kv_config(cfg))
+    out = tmp_path / "o"
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_bad_value():
     with pytest.raises(ConfigError, match="integer"):
         experiment_config_from_mapping({"dataset.rows": "many"})

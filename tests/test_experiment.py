@@ -378,6 +378,21 @@ def test_config_validation():
         fast_config(dataset_kind="csv")  # missing paths
 
 
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("methods", (), "methods must be non-empty"),
+        ("methods", ("mean_mode", "knn", "mean_mode"), "methods must not repeat"),
+        ("seeds", (0, 0), "seeds must not repeat"),
+    ],
+)
+def test_config_rejects_no_method_and_a_repeated_method_or_seed(field, values, message):
+    # No method runs nothing and reports nothing; a repeated entry reports a
+    # method twice, or a std taken over copies of one seed.
+    with pytest.raises(ConfigError, match=message):
+        fast_config(**{field: values})
+
+
 # ---------------------------------------------------------------------------
 # ablation suite
 # ---------------------------------------------------------------------------

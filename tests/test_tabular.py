@@ -114,6 +114,25 @@ def test_table_rejects_an_int_numeric_cell():
         Table(SCHEMA, [[3.5, "a", "t"], [3, "b", None]])
 
 
+@pytest.mark.parametrize("column, bad", [(1, 3), (1, 2.5), (2, 7), (2, b"t")])
+def test_table_rejects_a_categorical_or_text_cell_that_is_not_a_string(column, bad):
+    # An int category would break content_hash and save_csv, and the
+    # preprocessor would fit it into a vocabulary that encodes str(v).
+    row = [1.0, "a", "t"]
+    row[column] = bad
+    kind = SCHEMA.columns[column].kind.value
+    with pytest.raises(ValueError, match=f"{kind} cell at row 1, column .* not a string"):
+        Table(SCHEMA, [[3.5, "a", "t"], row])
+
+
+@pytest.mark.parametrize("column, bad", [(1, 3), (2, 0.5)])
+def test_filled_rejects_a_categorical_or_text_value_that_is_not_a_string(column, bad):
+    table = make_table()
+    with pytest.raises(ValueError, match="row 2, column .* not a string"):
+        table.filled([(column, [2], [bad])])
+    assert table.rows[2][column] is None
+
+
 def test_missing_mask():
     m = missing_mask(make_table())
     assert m.count == 3

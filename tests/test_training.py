@@ -175,6 +175,72 @@ def test_train_deterministic_bitwise():
         assert np.array_equal(a.params.tensors[name], b.params.tensors[name])
 
 
+def test_train_steps_through_the_public_loss_and_gradients_and_adam_step(monkeypatch):
+    # perfbench times the steps by wrapping these two module attributes; a
+    # train that bypassed them would report no steps and no Adam time.
+    calls = []
+
+    def counting(name):
+        original = getattr(training_module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("loss_and_gradients", "adam_step"):
+        monkeypatch.setattr(training_module, name, counting(name))
+    table, mask, stats, embedder = toy_setup(n_rows=37)
+    config = TrainConfig(epochs=2, batch_size=16, seed=4, learning_rate=1e-3)
+    train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
+    assert calls == ["loss_and_gradients", "adam_step"] * 6  # 3 batches an epoch
+
+
+def test_a_batch_size_above_the_row_count_trains_as_one_batch_of_every_row():
+    # The step workspace is sized for the rows a batch can hold; sized for
+    # batch_size itself, 10**7 rows asked numpy for 11.9 GiB.
+    data = synth_healthcare_generate(50, seed=6)
+    mask = inject_mcar(data.table, 0.2, seed=6)
+    stats = fit_preprocessor(apply_mask(data.table, mask), data.schema)
+    embedder = CellEmbedder(data.schema, stats, EmbedderVariant.QUANTUM_IQP, seed=6, n_qubits=4)
+    a, b = (
+        train(data.table, mask, data.schema, stats, embedder, SMALL_MODEL,
+              TrainConfig(epochs=2, batch_size=batch_size, seed=6, learning_rate=1e-3))
+        for batch_size in (10**7, 50)
+    )
+    assert a.loss_history == b.loss_history
+    for name, tensor in a.params.tensors.items():
+        assert tensor.tobytes() == b.params.tensors[name].tobytes(), name
+
+
+def test_adam_step_on_flat_buffers_matches_per_tensor_dicts():
+    # init_params' tensors and the step's gradients are views of one buffer
+    # each, which adam_step updates in place; separate arrays are gathered
+    # and written back. Both must take the same bits.
+    table, _, stats, _ = toy_setup(n_rows=20)
+    rng = np.random.default_rng(12)
+    flat_params = init_params(table.schema, stats, SMALL_MODEL, seed=12)
+    weights = flat_params.tensors.flat
+    loose_params = init_params(table.schema, stats, SMALL_MODEL, seed=12)
+    loose_params.tensors = {k: v.copy() for k, v in loose_params.tensors.items()}
+    flat_state, loose_state = AdamState.for_params(flat_params), AdamState.for_params(loose_params)
+    loose_state.m, loose_state.v = dict(loose_state.m), dict(loose_state.v)
+    config = TrainConfig(learning_rate=1e-2)
+    for _ in range(3):
+        loose_grads = {k: rng.normal(size=v.shape) for k, v in loose_params.tensors.items()}
+        flat_grads = model_module._FlatViews(
+            np.concatenate([g.ravel() for g in loose_grads.values()]), loose_grads
+        )
+        adam_step(flat_params, flat_grads, flat_state, config)
+        adam_step(loose_params, loose_grads, loose_state, config)
+    assert flat_params.tensors.flat is weights
+    for name, tensor in loose_params.tensors.items():
+        assert flat_params.tensors[name].tobytes() == tensor.tobytes(), name
+        assert flat_state.m[name].tobytes() == loose_state.m[name].tobytes(), name
+        assert flat_state.v[name].tobytes() == loose_state.v[name].tobytes(), name
+
+
 def test_train_loss_decreases_on_toy_data():
     table, mask, stats, embedder = toy_setup(n_rows=120, seed=3)
     config = TrainConfig(epochs=10, batch_size=32, seed=3, learning_rate=3e-3)
@@ -230,13 +296,13 @@ def test_masking_hygiene_missing_cells_never_supervised(monkeypatch):
     ) | mask.matrix
 
     captured = []
-    original = training_module._loss_and_gradients
+    original = training_module.loss_and_gradients
 
     def recording(params, batch, ws):
         captured.append(batch)
         return original(params, batch, ws)
 
-    monkeypatch.setattr(training_module, "_loss_and_gradients", recording)
+    monkeypatch.setattr(training_module, "loss_and_gradients", recording)
     config = TrainConfig(epochs=2, batch_size=16, seed=7, learning_rate=1e-3)
     train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
 
@@ -301,8 +367,8 @@ def test_blocks_see_only_rows_with_a_query(monkeypatch):
     monkeypatch.setattr(model_module, "_block_forward", guard)
     monkeypatch.setattr(
         training_module,
-        "_loss_and_gradients",
-        expecting(training_module._loss_and_gradients, supervised_rows),
+        "loss_and_gradients",
+        expecting(training_module.loss_and_gradients, supervised_rows),
     )
     monkeypatch.setattr(
         training_module,
@@ -343,9 +409,9 @@ def test_training_diverged_error(monkeypatch):
     table, mask, stats, embedder = toy_setup(n_rows=30)
 
     def exploding(params, batch, ws):
-        return LossBreakdown(float("nan"), float("nan"), 0.0, 1, 0)
+        return LossBreakdown(float("nan"), float("nan"), 0.0, 1, 0), ws.grads
 
-    monkeypatch.setattr(training_module, "_loss_and_gradients", exploding)
+    monkeypatch.setattr(training_module, "loss_and_gradients", exploding)
     config = TrainConfig(epochs=1, batch_size=16, seed=1)
     with pytest.raises(TrainingDiverged, match="learning rate"):
         train(table, mask, table.schema, stats, embedder, SMALL_MODEL, config)
@@ -401,14 +467,14 @@ def test_train_config_rejects_non_finite(field, bad):
 
 
 def around_each_step(monkeypatch, before):
-    """Make ``train`` call ``before(batch)`` at the start of each private step."""
-    original = training_module._loss_and_gradients
+    """Make ``train`` call ``before(batch)`` at the start of each step."""
+    original = training_module.loss_and_gradients
 
     def step(params, batch, ws):
         before(batch)
         return original(params, batch, ws)
 
-    monkeypatch.setattr(training_module, "_loss_and_gradients", step)
+    monkeypatch.setattr(training_module, "loss_and_gradients", step)
 
 
 @pytest.mark.parametrize("variant", list(EmbedderVariant))
